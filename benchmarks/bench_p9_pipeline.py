@@ -3,13 +3,12 @@ end-to-end n = 10^6 Radio MIS from the corpus store.
 
 PR 9 collapsed the streamed chunk loop's three passes (draw coins,
 apply fault transforms, deliver) into one fused per-chunk pipeline
-pass — a numba ``@njit`` kernel where available, a blocked pure-NumPy
-leg everywhere — registered as the fourth delivery tier
-(``delivery="pipeline"``). Three claims to pin, all on end-to-end
-Radio MIS under a declared streaming budget:
+pass, which ``delivery="auto"`` runs as blocked pure NumPy. Two claims
+to pin, both on end-to-end Radio MIS under a declared streaming
+budget:
 
-* **Bit-identity first.** At a small n, the fused pass — auto-routed
-  and force-routed, faulted and fault-free — reproduces the unfused
+* **Bit-identity first.** At a small n, the fused pass — faulted and
+  fault-free — reproduces the unfused
   (PR 7) run exactly: MIS result, steps, per-phase trace totals,
   realized fault counters, and the final rng state. A timing row is
   meaningless unless this passes, so it gates.
@@ -17,10 +16,6 @@ Radio MIS under a declared streaming budget:
   forced off on both sides, so CI machines with numba measure the
   same thing this container does) beats the PR 7 restricted
   pure-NumPy path by at least **1.5x** wall-clock at n = 10^5.
-* **The compiled pipeline pays on top.** With numba installed, the
-  forced ``delivery="pipeline"`` leg beats the same baseline by at
-  least **3x**. Without numba the mode *refuses by name* (recorded
-  here; the CI optional-deps matrix runs the gated form).
 
 The cap: one end-to-end n = 10^6 MIS, generated into the corpus
 store, mmap-loaded back, and streamed under ``E2E_MEM_BUDGET`` with
@@ -64,10 +59,6 @@ E2E_PEAK_CEILING_BYTES = 3 * 2**30
 
 #: Pure-NumPy fused pipeline over the PR 7 restricted-numpy path.
 PIPELINE_FLOOR = 1.5
-
-#: Forced ``delivery="pipeline"`` (numba kernel) over the same
-#: baseline (gated only where numba is installed).
-NUMBA_FLOOR = 3.0
 
 
 @contextlib.contextmanager
@@ -154,8 +145,6 @@ def _mis_once(g, seed: int, policy, faults=None, fused=True):
 
 def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
     """The fused pass equals the unfused run, exactly — faulted too."""
-    from repro.engine.kernels import probe_numba
-
     g = _udg(n, seed)
     faults = _faults(n, seed + 7)
     legs = {
@@ -164,22 +153,16 @@ def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
         "unfused-faulted": dict(fused=False, faults=faults),
         "fused-faulted": dict(fused=True, faults=faults),
     }
-    if probe_numba():  # pragma: no cover - CI optional-deps leg
-        legs["pipeline-forced"] = dict(
-            fused=True, policy=_policy(delivery="pipeline")
-        )
-    runs = {}
-    for name, spec in legs.items():
-        policy = spec.pop("policy", None) or _policy()
-        runs[name] = _mis_once(g, seed + 1, policy, **spec)
+    runs = {
+        name: _mis_once(g, seed + 1, _policy(), **spec)
+        for name, spec in legs.items()
+    }
 
     checked = []
     for ref_name, name in [
         ("unfused", "fused-auto"),
         ("unfused-faulted", "fused-faulted"),
-    ] + (
-        [("unfused", "pipeline-forced")] if "pipeline-forced" in runs else []
-    ):
+    ]:
         ref_res, ref_net, ref_rng, _ = runs[ref_name]
         res, net, rng, _ = runs[name]
         assert res.mis == ref_res.mis, name
@@ -215,10 +198,7 @@ def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
 
 
 def bench_pipeline_legs(n: int, seed: int = 92) -> dict:
-    """The timed legs: unfused PR 7 path, fused numpy, fused numba."""
-    from repro.engine.kernels import probe_numba, require_delivery_mode
-    from repro.radio.errors import ProtocolError
-
+    """The timed legs: unfused PR 7 path and fused numpy."""
     g = _udg(n, seed)
     edges = g.number_of_edges()
 
@@ -237,27 +217,6 @@ def bench_pipeline_legs(n: int, seed: int = 92) -> dict:
         fused_rng.bit_generator.state == base_rng.bit_generator.state
     )
 
-    have_numba = probe_numba()
-    refusal = None
-    if have_numba:  # pragma: no cover - CI optional-deps leg
-        forced = _policy(delivery="pipeline")
-        _mis_once(g, seed + 1, forced)  # untimed JIT warmup
-        numba_res, numba_net, numba_rng, numba_s = _mis_once(
-            g, seed + 1, forced
-        )
-        assert numba_res.mis == base_res.mis
-        assert (
-            numba_rng.bit_generator.state == base_rng.bit_generator.state
-        )
-        numba_use = dict(numba_net.kernel_use)
-    else:
-        try:
-            require_delivery_mode("pipeline")
-        except ProtocolError as exc:
-            refusal = str(exc)
-        numba_s = None
-        numba_use = None
-
     return {
         "workload": "end-to-end Radio MIS, streamed under "
         f"{MEM_BUDGET} (eed_C=2)",
@@ -270,16 +229,10 @@ def bench_pipeline_legs(n: int, seed: int = 92) -> dict:
         "fused_numpy_s": fused_s,
         "pipeline_speedup": base_s / fused_s,
         "pipeline_floor": PIPELINE_FLOOR,
-        "numba_available": have_numba,
-        "pipeline_numba_s": numba_s,
-        "numba_speedup": (base_s / numba_s) if numba_s else None,
-        "numba_floor": NUMBA_FLOOR if have_numba else None,
-        "forced_refusal": refusal,
         "unfused_timing": dict(base_net.phase_timing),
         "fused_timing": dict(fused_net.phase_timing),
         "unfused_kernel_use": dict(base_net.kernel_use),
         "fused_kernel_use": dict(fused_net.kernel_use),
-        "numba_kernel_use": numba_use,
         "residual_stats": dict(fused_net.residual_stats),
     }
 
@@ -351,10 +304,6 @@ def run_bench(
     identity = check_bit_identity(n=identity_n)
     legs = bench_pipeline_legs(n=n)
     passes = legs["pipeline_speedup"] >= legs["pipeline_floor"]
-    if legs["numba_floor"] is not None:  # pragma: no cover - CI leg
-        passes = passes and legs["numba_speedup"] >= legs["numba_floor"]
-    else:
-        passes = passes and "numba" in (legs["forced_refusal"] or "")
     e2e = None
     if not skip_e2e:
         e2e = bench_e2e_million(n=e2e_n)
@@ -411,17 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"bit-identity n={ident['n']}: legs {ident['legs']} identical"
     )
-    gate = (
-        f", pipeline-numba {legs['pipeline_numba_s']:.2f}s = "
-        f"{legs['numba_speedup']:.2f}x (floor {legs['numba_floor']}x)"
-        if legs["numba_floor"] is not None
-        else " (no numba: forced pipeline refuses by name)"
-    )
     print(
         f"MIS n={legs['n']}: unfused {legs['unfused_s']:.2f}s, "
         f"fused numpy {legs['fused_numpy_s']:.2f}s "
         f"= {legs['pipeline_speedup']:.2f}x "
-        f"(floor {legs['pipeline_floor']}x){gate}"
+        f"(floor {legs['pipeline_floor']}x)"
     )
     e2e = results["e2e_million"]
     if e2e is not None:

@@ -381,21 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         bench_p9_pipeline.write_results(p9)
 
         legs = p9["pipeline_legs"]
-        gate = (
-            f"(floor {legs['numba_floor']}x)"
-            if legs["numba_floor"] is not None
-            else "(no numba: forced pipeline refuses by name)"
-        )
-        numba_part = (
-            f"{legs['numba_speedup']:.2f}x "
-            if legs["numba_speedup"] is not None
-            else ""
-        )
         print(
             f"fused pipeline n={legs['n']}: fused numpy "
             f"{legs['pipeline_speedup']:.2f}x "
-            f"(floor {legs['pipeline_floor']}x), pipeline-numba "
-            f"{numba_part}{gate}"
+            f"(floor {legs['pipeline_floor']}x)"
         )
         if p9["e2e_million"] is not None:
             e2e = p9["e2e_million"]

@@ -70,7 +70,7 @@ from .registry import (
     protocol_names,
     register_protocol,
 )
-from .report import RunReport
+from .report import SEMANTICS, RunReport
 from .run import run
 
 __all__ = [
@@ -89,6 +89,7 @@ __all__ = [
     "ProtocolSpec",
     "RestartableMISConfig",
     "RunReport",
+    "SEMANTICS",
     "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",

@@ -19,6 +19,16 @@ from typing import Any
 from ..core.resulteq import ArrayEqMixin, values_equal
 from ..engine.policy import ExecutionPolicy
 
+#: Version of what seeded runs produce. Bump it with any change to a
+#: seeded trajectory — an rng contract, a protocol fix — so stored
+#: reports keyed under the old value are never served for new runs
+#: (``JobKey.semantics``) and every report names the semantics it was
+#: produced under (``provenance["semantics"]``). 2 = rng contract v2,
+#: coins drawn only for eligible nodes (DESIGN.md §4.3).
+#: ``tests/test_rng_contract.py`` pins a trajectory fingerprint per
+#: value, so a trajectory change without a bump fails tier-1.
+SEMANTICS = 2
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunReport(ArrayEqMixin):
@@ -152,4 +162,4 @@ class RunReport(ArrayEqMixin):
         }
 
 
-__all__ = ["RunReport"]
+__all__ = ["RunReport", "SEMANTICS"]

@@ -26,7 +26,7 @@ from ..engine.policy import ExecutionPolicy
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from .registry import ProtocolSpec, get_protocol
-from .report import RunReport
+from .report import SEMANTICS, RunReport
 
 
 def _resolve_rng(
@@ -346,6 +346,7 @@ def run(
                 else None
             ),
             "version": getattr(repro, "__version__", "unknown"),
+            "semantics": SEMANTICS,
         },
     )
 

@@ -184,9 +184,8 @@ def _add_policy_options(
             "window execution strategy (bit-identical; auto routes per "
             "window row on mask density and COO output size, and runs "
             "the fused coin+fault+delivery pass on plans that declare "
-            "a separable form; pipeline forces that pass compiled; "
-            "numba/cupy/pipeline need their optional package installed "
-            "and refuse by name otherwise)"
+            "a separable form; numba/cupy need their optional package "
+            "installed and refuse by name otherwise)"
         ),
     )
     group.add_argument(

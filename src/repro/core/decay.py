@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.pcg import CoinField
+from ..engine.pcg import CoinField, scatter_rows
 from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import ProtocolSchedule, StreamedWindow
 from ..radio.network import (
@@ -133,6 +133,9 @@ class Decay(Protocol):
                 f"active mask has shape {active.shape}, expected ({self.n},)"
             )
         self.active = active.copy()
+        # Contract v2 coin order: one uniform per active node per step,
+        # in ascending node id (DESIGN.md §4.3).
+        self.eligible = np.flatnonzero(active)
         if messages is None:
             messages = list(range(self.n))
         if len(messages) != self.n:
@@ -150,8 +153,9 @@ class Decay(Protocol):
     def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
         i = (self._step % self.span) + 1  # i = 1 .. span
         prob = 2.0**-i
-        coins = rng.random(self.n) < prob
-        return self.active & coins
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.eligible] = rng.random(self.eligible.size) < prob
+        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
         new = (hear_from != NO_SENDER) & ~self.heard
@@ -259,9 +263,10 @@ def decay_block_schedule(
     fixed active set gated by fresh coins, so the whole block is
     oblivious, and the runner executes it in bounded ``(chunk_steps,
     n)`` slabs (its memory knob; the legacy coin-budget granularity by
-    default). Coins are drawn lazily inside the plan, chunk-row-major,
-    which is stream-identical to the per-step draws of the
-    :class:`Decay` protocol whatever the slab height; receptions fold
+    default). Coins are drawn lazily inside the plan under contract v2
+    — a ``(k, L)`` block per chunk over the ``L`` active nodes — which
+    is stream-identical to the per-step draws of the :class:`Decay`
+    protocol whatever the slab height; receptions fold
     in step order through :meth:`Decay._absorb_window`. Returns the
     block's :class:`DecayResult`.
     """
@@ -277,24 +282,24 @@ def decay_block_schedule(
         n = network.n
         # Per-step transmission probabilities of the sweep ladder.
         probs = 2.0 ** -((np.arange(total) % protocol.span) + 1.0)
-        coins = CoinField(rng, n)
+        coins = CoinField(rng)
+        eligible = protocol.eligible
+
+        def bits(start: int, stop: int) -> np.ndarray:
+            flips = coins.draw(stop - start, eligible.size)
+            return flips < probs[start:stop, None]
 
         def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop) < probs[start:stop, None]
-            return flips & protocol.active[None, :]
+            return scatter_rows(bits(start, stop), eligible, n)
 
         def masks_at(
             start: int, stop: int, cols: np.ndarray
         ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            return (
-                flips < probs[start:stop, None]
-            ) & protocol.active[cols][None, :]
+            return scatter_rows(bits(start, stop), eligible, n, cols)
 
         # Separable form for the fused pipeline: the ladder probability
         # is a pure row factor and the fixed active set a 0/1 column
-        # factor, so ``coin < prob * active`` reproduces the slab mask
-        # exactly (a 0 column prob can never exceed a [0, 1) coin).
+        # factor whose nonzero columns are exactly the eligible nodes.
         col = protocol.active.astype(np.float64)
 
         yield StreamedWindow(

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from ..engine.pcg import CoinField
+from ..engine.pcg import CoinField, scatter_rows
 from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import PlanSection, ProtocolSchedule, StreamedWindow
 from ..radio.network import (
@@ -104,7 +104,7 @@ class EstimateEffectiveDegree(Protocol):
         active = np.asarray(active, dtype=bool)
         if p.shape != (self.n,) or active.shape != (self.n,):
             raise ValueError("p and active must be length-n arrays")
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("desire levels must lie in [0, 1]")
         if C < 1:
             raise ValueError(f"C must be >= 1, got {C}")
@@ -113,6 +113,10 @@ class EstimateEffectiveDegree(Protocol):
 
         self.p = np.where(active, p, 0.0)
         self.active = active.copy()
+        # Contract v2 coin order: one uniform per node with a nonzero
+        # transmit probability (active and p > 0) per step, in
+        # ascending node id (DESIGN.md §4.3).
+        self.eligible = np.flatnonzero(self.p)
         self.levels = log_n + 1  # i = 0 .. log n inclusive
         self.steps_per_level = C * log_n
         self.total_steps = self.levels * self.steps_per_level
@@ -125,8 +129,10 @@ class EstimateEffectiveDegree(Protocol):
 
     def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
         i = self._level()
-        prob = self.p / (2.0**i)
-        return self.active & (rng.random(self.n) < prob)
+        prob = self.p[self.eligible] / (2.0**i)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.eligible] = rng.random(self.eligible.size) < prob
+        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
         i = self._level()
@@ -219,8 +225,9 @@ def effective_degree_schedule(
     Step ``t`` of the block transmits with probability
     ``p(v) / 2^(t // steps_per_level)``; the whole block goes out as one
     :class:`~repro.engine.segments.StreamedWindow`, its coins drawn
-    lazily chunk-row-major inside the plan (stream-identical to the
-    protocol's per-step draws whatever slab height the runner picks) and
+    lazily inside the plan under contract v2 — a ``(k, L)`` block per
+    chunk over the ``L`` nodes with ``p > 0``, stream-identical to the
+    protocol's per-step draws whatever slab height the runner picks — and
     its receptions folded per chunk through
     :meth:`EstimateEffectiveDegree._absorb_window`. Returns the block's
     :class:`EffectiveDegreeResult`.
@@ -234,7 +241,9 @@ def effective_degree_schedule(
         # 2^i is exact, so dividing row-wise reproduces the protocol's
         # per-step `p / 2**i` values bit-for-bit.
         pow2 = 2.0 ** (np.arange(total) // protocol.steps_per_level)
-        coins = CoinField(rng, n)
+        coins = CoinField(rng)
+        eligible = protocol.eligible
+        p_eligible = protocol.p[eligible]
 
         # ``coin < p / 2^i`` is tested as ``coin * 2^i < p``: scaling a
         # float by a power of two is exact (exponent arithmetic only),
@@ -243,26 +252,24 @@ def effective_degree_schedule(
         # block (a dead scratch view once thresholded) rescales in
         # place instead.
 
-        def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop)
+        def bits(start: int, stop: int) -> np.ndarray:
+            flips = coins.draw(stop - start, eligible.size)
             flips *= pow2[start:stop, None]
-            out = flips < protocol.p[None, :]
-            out &= protocol.active[None, :]
-            return out
+            return flips < p_eligible[None, :]
+
+        def masks(start: int, stop: int) -> np.ndarray:
+            return scatter_rows(bits(start, stop), eligible, n)
 
         def masks_at(
             start: int, stop: int, cols: np.ndarray
         ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            flips *= pow2[start:stop, None]
-            out = flips < protocol.p[cols][None, :]
-            out &= protocol.active[cols][None, :]
-            return out
+            return scatter_rows(bits(start, stop), eligible, n, cols)
 
         # Separable form for the fused pipeline: `p * 2^-i` equals the
         # slab path's `p / 2^i` bit-for-bit (power-of-two scaling is
         # exact), with the desire level — already zeroed outside the
-        # active set — as the fixed column factor.
+        # active set, so its nonzero columns are the eligible nodes —
+        # as the fixed column factor.
         row_probs = 2.0 ** -(np.arange(total) // protocol.steps_per_level)
 
         # One unlabeled section per density level. Chunks never

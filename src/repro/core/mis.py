@@ -29,7 +29,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..engine.pcg import CoinField
+from ..engine.pcg import CoinField, scatter_rows
 from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import (
     PlanSection,
@@ -195,14 +195,16 @@ def mis_schedule(
         # block's outcome, which is legal inside one plan because the
         # runner never lets a chunk straddle the PlanSection boundary:
         # by the first mask request of section 2, section 1 is fully
-        # folded. Coins come from one CoinField in row order, so the
-        # rng stream equals the two sequential blocks' draws exactly.
+        # folded. Coins come from one CoinField in row order, each
+        # section drawing over its own Decay active set (contract v2),
+        # so the rng stream equals the two sequential blocks' draws
+        # exactly.
         d1 = Decay(
             network, marked, iterations=decay_iters, n_estimate=n_est
         )
         span = d1.total_steps
         probs = 2.0 ** -((np.arange(span) % d1.span) + 1.0)
-        coins = CoinField(rng, n)
+        coins = CoinField(rng)
         second: list[Decay] = []
 
         def _second() -> Decay:
@@ -217,27 +219,23 @@ def mis_schedule(
                 )
             return second[0]
 
-        def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop)
+        def bits(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            # Chunks never straddle the section boundary: one section's
+            # eligible set and ladder rows serve the whole chunk.
             if stop <= span:
-                return (
-                    flips < probs[start:stop, None]
-                ) & d1.active[None, :]
-            return (
-                flips < probs[start - span:stop - span, None]
-            ) & _second().active[None, :]
+                block, ladder = d1, probs[start:stop]
+            else:
+                block, ladder = _second(), probs[start - span:stop - span]
+            flips = coins.draw(stop - start, block.eligible.size)
+            return flips < ladder[:, None], block.eligible
+
+        def masks(start: int, stop: int) -> np.ndarray:
+            return scatter_rows(*bits(start, stop), n)
 
         def masks_at(
             start: int, stop: int, cols: np.ndarray
         ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            if stop <= span:
-                return (
-                    flips < probs[start:stop, None]
-                ) & d1.active[cols][None, :]
-            return (
-                flips < probs[start - span:stop - span, None]
-            ) & _second().active[cols][None, :]
+            return scatter_rows(*bits(start, stop), n, cols)
 
         def col_probs(start: int) -> np.ndarray:
             # Separable form: the ladder probability is the row factor

@@ -15,7 +15,7 @@ sub-graph's degrees are what its routing decisions must use (inherited
 extremes would over-route shrunken graphs dense and can violate the
 packing bound's premise in the other direction).
 
-Three optional compiled tiers register here:
+Two optional compiled tiers register here:
 
 * ``"numba"`` — an ``@njit`` CSR scatter kernel (per-row transmitter
   walk, integer collision counts, last-writer sender slots). Every
@@ -27,20 +27,13 @@ Three optional compiled tiers register here:
   componentwise, so it sits in the same exactness tier wherever the
   device's flush-to-zero settings leave exact integer adds alone
   (DESIGN.md §7 documents the tiers).
-* ``"pipeline"`` (ISSUE 9) — the fused coin+fault+delivery chunk pass.
-  Its compiled leg (:func:`pipeline_mask_kernel`, gated on numba)
-  draws PCG64 coins inline per row from
-  :func:`~repro.engine.pcg.row_base_states` launch states — the exact
-  draw-for-draw arithmetic of ``rng.random((k, n))`` — and compares
-  against separable ``row_prob * col_prob`` thresholds in the same
-  loop, never materializing the float coin block. The pure-NumPy
-  blocked fallback (what ``delivery="auto"`` runs by default, see
-  :meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) keeps
-  the fused *structure* — in-place fault transforms, COO reception
-  delivery via :meth:`DeliveryKernels.execute_coo`, no ``(k, n)``
-  hear slab — with coins still drawn as one block. Forcing
-  ``delivery="pipeline"`` without numba refuses by name; the numpy
-  fused pass is an ``"auto"`` behavior, not an installable mode.
+
+The fused coin+fault+delivery chunk pass that ``delivery="auto"`` runs
+(:meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) is pure
+NumPy: a compact ``(k, L)`` coin block over the section's eligible
+nodes (rng contract v2), in-place fault transforms, and COO reception
+delivery via :meth:`DeliveryKernels.execute_coo` — no ``(k, n)`` hear
+slab. It is an ``"auto"`` behavior, not a selectable mode.
 
 No optional dependency is imported until probed; probing is cached.
 Requesting an absent backend raises the uniform
@@ -68,19 +61,14 @@ from ..radio.network import (
 )
 
 #: Delivery modes that require an optional compiled dependency.
-COMPILED_DELIVERY_MODES = ("numba", "cupy", "pipeline")
+COMPILED_DELIVERY_MODES = ("numba", "cupy")
 
 #: Every delivery mode the policy layer accepts (availability is a
 #: separate question — see :func:`require_delivery_mode`).
 ALL_DELIVERY_MODES = DELIVERY_MODES + COMPILED_DELIVERY_MODES
 
-#: The package each compiled mode actually needs (the pipeline tier's
-#: compiled leg is a numba kernel, not a package of its own).
-_MODE_PACKAGE = {"numba": "numba", "cupy": "cupy", "pipeline": "numba"}
-
 _probe_cache: dict[str, bool] = {}
 _numba_kernel = None
-_pipeline_kernel = None
 _pipeline_active = True
 
 
@@ -109,11 +97,7 @@ def probe_cupy() -> bool:
     return _probe_cache["cupy"]
 
 
-_PROBES = {
-    "numba": probe_numba,
-    "cupy": probe_cupy,
-    "pipeline": probe_numba,
-}
+_PROBES = {"numba": probe_numba, "cupy": probe_cupy}
 
 
 def pipeline_enabled() -> bool:
@@ -164,9 +148,8 @@ def require_delivery_mode(mode: str) -> None:
             f"(expected one of {ALL_DELIVERY_MODES})"
         )
     if mode in COMPILED_DELIVERY_MODES and not _PROBES[mode]():
-        package = _MODE_PACKAGE[mode]
         raise ProtocolError(
-            f"delivery mode {mode!r} requires the {package!r} package, "
+            f"delivery mode {mode!r} requires the {mode!r} package, "
             f"which is not installed (or has no usable device); "
             f"installed delivery modes: {available_delivery_modes()}"
         )
@@ -176,8 +159,6 @@ def compiled_kernel_name(mode: str) -> str:
     """The chunk-kernel family a resolved ``delivery`` mode will use
     for its (popcount-)sparse rows — recorded in ``RunReport``
     provenance so a run names the code that produced it."""
-    if mode == "pipeline":
-        return "pipeline-numba"
     if mode == "numba" or (mode == "auto" and probe_numba()):
         return "csr-numba"
     if mode == "cupy":
@@ -222,90 +203,6 @@ def _get_numba_kernel():  # pragma: no cover - needs numba installed
 
         _numba_kernel = _csr_window
     return _numba_kernel
-
-
-def _fused_mask_row(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, r, cp, out_row):
-    """One row of the fused coin+threshold pass, scalar PCG64 steps.
-
-    ``(s_hi, s_lo)`` is the 128-bit LCG state at the row start (from
-    :func:`~repro.engine.pcg.row_base_states`); each column advances
-    the state once (schoolbook 64x64 limb multiply, exactly
-    :func:`~repro.engine.pcg._mulhi64`'s arithmetic scalarized),
-    applies numpy's XSL-RR output and 53-bit double conversion, and
-    stores ``coin < r * cp[v]`` — the separable threshold the pipeline
-    plan forms guarantee matches the emitter's vectorized mask math
-    bit-for-bit. Written in numba-jittable scalar style but kept plain
-    Python at module level so the arithmetic is pinned by tests without
-    the dependency (run under ``np.errstate(over="ignore")``: uint64
-    wraparound is the point).
-    """
-    mask32 = np.uint64(0xFFFFFFFF)
-    c32 = np.uint64(32)
-    c58 = np.uint64(58)
-    c64 = np.uint64(64)
-    c63 = np.uint64(63)
-    c11 = np.uint64(11)
-    one = np.uint64(1)
-    inv_2_53 = 2.0**-53
-    n = out_row.shape[0]
-    for v in range(n):
-        a0 = s_lo & mask32
-        a1 = s_lo >> c32
-        b0 = m_lo & mask32
-        b1 = m_lo >> c32
-        p00 = a0 * b0
-        p01 = a0 * b1
-        p10 = a1 * b0
-        carry = ((p00 >> c32) + (p01 & mask32) + (p10 & mask32)) >> c32
-        mul_hi = a1 * b1 + (p01 >> c32) + (p10 >> c32) + carry
-        lo = s_lo * m_lo
-        hi = mul_hi + s_hi * m_lo + s_lo * m_hi
-        lo2 = lo + i_lo
-        if lo2 < lo:
-            hi = hi + one
-        s_hi = hi + i_hi
-        s_lo = lo2
-        rot = s_hi >> c58
-        x = s_hi ^ s_lo
-        word = (x >> rot) | (x << ((c64 - rot) & c63))
-        coin = np.float64(word >> c11) * inv_2_53
-        out_row[v] = coin < r * cp[v]
-
-
-def _get_pipeline_kernel():  # pragma: no cover - needs numba
-    """Build (once) the compiled fused coin+mask pipeline kernel.
-
-    Row-parallel: each window row starts from its jump-ahead launch
-    state and runs :func:`_fused_mask_row` compiled — rows are
-    independent PCG64 subsequences, so ``prange`` introduces no
-    ordering hazard and the output is bit-identical to the sequential
-    block draw.
-    """
-    global _pipeline_kernel
-    if _pipeline_kernel is None:
-        import numba
-
-        row = numba.njit(cache=True)(_fused_mask_row)
-
-        @numba.njit(cache=True, parallel=True)
-        def _fused_masks(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, rp, cp, out):
-            for t in numba.prange(out.shape[0]):
-                row(s_hi[t], s_lo[t], i_hi, i_lo, m_hi, m_lo, rp[t], cp, out[t])
-
-        _pipeline_kernel = _fused_masks
-    return _pipeline_kernel
-
-
-def pipeline_mask_kernel():
-    """The compiled fused mask kernel, or ``None`` without numba.
-
-    The runner's pipeline pass calls this per chunk; ``None`` selects
-    the pure-NumPy blocked fallback (block coin draw + per-row
-    threshold compare), which shares every downstream fused stage.
-    """
-    if not probe_numba():
-        return None
-    return _get_pipeline_kernel()  # pragma: no cover - needs numba
 
 
 class DeliveryKernels:
@@ -759,10 +656,7 @@ class DeliveryKernels:
         accepts every member of :data:`ALL_DELIVERY_MODES`; ``"auto"``
         routes per row — dense rows to the packed matmul, sparse rows
         to the compiled CSR kernel when numba is installed, the
-        gather/spmm pair otherwise (``"pipeline"`` falls through to the
-        same auto routing here: blocks that are not pipeline-capable —
-        decision steps, plans without a separable form — still execute
-        under a forced pipeline policy). ``counters`` (when given) is
+        gather/spmm pair otherwise. ``counters`` (when given) is
         bumped per kernel leg with the number of rows it executed,
         feeding ``RunReport`` delivery provenance.
         """
@@ -836,8 +730,8 @@ class DeliveryKernels:
         the same exact kernels as :meth:`execute`, returning clean
         receptions as ``(step, node, sender)`` int64 arrays (arbitrary
         order) instead of scattering a hear slab. ``mode`` ``"auto"``
-        and ``"pipeline"`` route per row (the compiled CSR walk serves
-        the sparse side when numba is installed); ``"sparse"`` and
+        routes per row (the compiled CSR walk serves the sparse side
+        when numba is installed); ``"sparse"`` and
         ``"dense"`` force those kernels. ``cols`` (optional, sorted
         global indices) promises every mask column outside it is
         False, letting the single up-front transmitter scan
@@ -924,7 +818,6 @@ __all__ = [
     "compiled_kernel_name",
     "pipeline_disabled",
     "pipeline_enabled",
-    "pipeline_mask_kernel",
     "probe_cupy",
     "probe_numba",
     "require_delivery_mode",

@@ -1,363 +1,99 @@
-"""Vectorized PCG64 jump-ahead: coin draws at chosen stream offsets.
+"""Coin source of rng contract v2: one uniform per eligible node per step.
 
-The residual-delivery path (:mod:`repro.engine.residual`) wants the
-coins of a ``(k, n)`` chunk only at its live columns — a small fraction
-of ``n`` in late protocol rounds — while staying bit-identical to the
-reference emitters, which draw the *full* ``rng.random((k, n))`` block.
-Values sampled at arbitrary offsets of the generator's future stream
-make that possible: produce exactly the doubles the full draw would
-have placed at ``(row, col)`` for the requested columns, then advance
-the generator past the whole block in one
-``bit_generator.advance(k * n)`` — same values where it matters, same
-final generator state, a fraction of the work.
+A step of a Decay block, an EstimateEffectiveDegree block, or a Radio
+MIS Decay section decides only for the nodes whose transmit
+probability at that step is nonzero — its **eligible** set. Contract v2
+(DESIGN.md §4.3) draws one ``rng.random()`` double per eligible node,
+in ascending node id, and nothing for anyone else. Within one block or
+section the eligible set is fixed, so a ``k``-step chunk is exactly
+``rng.random((k, L))`` for ``L`` eligible nodes, row-major — the same
+stream the step-wise twins consume one ``rng.random(L)`` row at a time,
+whatever chunk height the runner picks. A step on which all ``n`` nodes
+are eligible draws exactly the full-width row.
 
-This requires the default :class:`numpy.random.PCG64` bit generator,
-whose underlying LCG has a closed-form jump: ``state_d = A^d * state +
-(A^d - 1) / (A - 1) * inc (mod 2^128)``, computed per offset by
-square-and-multiply. One ``Generator.random()`` double consumes exactly
-one ``next_uint64`` call, and numpy's PCG64 output function is XSL-RR
-of the *post-advance* state (advance one LCG step, then ``rotr64(hi ^
-lo, hi >> 58)``), with the double built as ``(out >> 11) * 2^-53`` —
-all three conventions are pinned against numpy itself by
-``tests/test_residual.py``, so a numpy whose stream differs fails
-loudly instead of silently diverging. Other bit generators fall back to
-draw-and-slice (same stream, none of the savings).
-
-All 128-bit arithmetic is emulated on ``uint64`` limb pairs with
-32-bit-half multiplies — pure vectorized numpy, no new dependencies.
+:class:`CoinField` draws those compact blocks into a reused scratch
+buffer; :func:`scatter_rows` places compact mask bits into full-width
+or member-column masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: The PCG64 LCG multiplier (Melissa O'Neill's default 128-bit constant,
-#: the one numpy's PCG64 uses — verified against ``bit_generator.advance``).
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_INV_2_53 = float(2.0**-53)
-
-#: Measured per-value cost of the jump-ahead draw relative to a plain
-#: ``rng.random`` block (the limb-pair multiplies plus their
-#: temporaries against one hardware PRNG step; ~10x at realistic chunk
-#: heights once the per-column transforms amortize). Column sets larger
-#: than ``n / OFFSET_COST_FACTOR`` draw the full block and slice
-#: instead — same values, cheaper at that width.
-OFFSET_COST_FACTOR = 10
-
-
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product of two uint64 operands.
-
-    Schoolbook on 32-bit halves; every partial product and carry sum
-    stays below 2^64, so nothing here can overflow.
-    """
-    a0 = a & np.uint64(0xFFFFFFFF)
-    a1 = a >> np.uint64(32)
-    b0 = b & np.uint64(0xFFFFFFFF)
-    b1 = b >> np.uint64(32)
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = (
-        ((a0 * b0) >> np.uint64(32))
-        + (p01 & np.uint64(0xFFFFFFFF))
-        + (p10 & np.uint64(0xFFFFFFFF))
-    )
-    return (
-        a1 * b1
-        + (p01 >> np.uint64(32))
-        + (p10 >> np.uint64(32))
-        + (mid >> np.uint64(32))
-    )
-
-
-def _mul128(ahi, alo, bhi, blo):
-    """``(a * b) mod 2^128`` on (hi, lo) uint64 limb pairs."""
-    lo = alo * blo  # wraps mod 2^64, exactly the low limb
-    hi = _mulhi64(alo, blo) + ahi * blo + alo * bhi
-    return hi, lo
-
-
-def _add128(ahi, alo, bhi, blo):
-    """``(a + b) mod 2^128`` on (hi, lo) uint64 limb pairs."""
-    lo = alo + blo
-    carry = (lo < alo).astype(np.uint64)
-    return ahi + bhi + carry, lo
-
-
-def _split128(value: int) -> tuple[np.uint64, np.uint64]:
-    """A python int mod 2^128 as an (hi, lo) uint64 scalar pair."""
-    value &= _MASK128
-    return np.uint64(value >> 64), np.uint64(value & _MASK64)
-
-
-def jump_transform(delta: int, inc: int) -> tuple[int, int]:
-    """The LCG jump ``(A_delta, C_delta)`` for one offset, as ints.
-
-    ``state_delta = (A_delta * state + C_delta) mod 2^128`` advances a
-    PCG64 LCG with increment ``inc`` by ``delta`` steps — the standard
-    square-and-multiply accumulation (Brown, "Random number generation
-    with arbitrary strides").
-    """
-    if delta < 0:
-        raise ValueError(f"jump delta must be >= 0, got {delta}")
-    acc_mult, acc_plus = 1, 0
-    cur_mult, cur_plus = PCG64_MULT, inc & _MASK128
-    while delta > 0:
-        if delta & 1:
-            acc_mult = (acc_mult * cur_mult) & _MASK128
-            acc_plus = (acc_plus * cur_mult + cur_plus) & _MASK128
-        cur_plus = ((cur_mult + 1) * cur_plus) & _MASK128
-        cur_mult = (cur_mult * cur_mult) & _MASK128
-        delta >>= 1
-    return acc_mult, acc_plus
-
-
-def _jump_transforms_vec(deltas: np.ndarray, inc: int):
-    """Vectorized :func:`jump_transform` over an array of offsets.
-
-    Returns four uint64 arrays ``(Ahi, Alo, Chi, Clo)`` — one (A, C)
-    limb pair per delta. The squaring chain is shared (scalar python
-    ints); only the conditional accumulation is per-element.
-    """
-    m = deltas.size
-    a_hi = np.zeros(m, dtype=np.uint64)
-    a_lo = np.ones(m, dtype=np.uint64)
-    c_hi = np.zeros(m, dtype=np.uint64)
-    c_lo = np.zeros(m, dtype=np.uint64)
-    if m == 0:
-        return a_hi, a_lo, c_hi, c_lo
-    cur_mult, cur_plus = PCG64_MULT, inc & _MASK128
-    d = deltas.astype(np.uint64)
-    for bit in range(int(deltas.max()).bit_length()):
-        sel = (d >> np.uint64(bit)) & np.uint64(1) == np.uint64(1)
-        if sel.any():
-            m_hi, m_lo = _split128(cur_mult)
-            p_hi, p_lo = _split128(cur_plus)
-            hi, lo = _mul128(a_hi[sel], a_lo[sel], m_hi, m_lo)
-            a_hi[sel], a_lo[sel] = hi, lo
-            hi, lo = _mul128(c_hi[sel], c_lo[sel], m_hi, m_lo)
-            hi, lo = _add128(hi, lo, p_hi, p_lo)
-            c_hi[sel], c_lo[sel] = hi, lo
-        cur_plus = ((cur_mult + 1) * cur_plus) & _MASK128
-        cur_mult = (cur_mult * cur_mult) & _MASK128
-    return a_hi, a_lo, c_hi, c_lo
-
-
-def _xsl_rr_double(state_hi: np.ndarray, state_lo: np.ndarray) -> np.ndarray:
-    """numpy's PCG64 output path: XSL-RR of a (post-advance) state,
-    then the 53-bit double ``(out >> 11) * 2^-53``."""
-    rot = state_hi >> np.uint64(58)
-    x = state_hi ^ state_lo
-    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (out >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def supports_offset_draws(rng: np.random.Generator) -> bool:
-    """Whether ``rng`` rides a plain PCG64 (the jump math's target).
-
-    Exact type check on purpose: PCG64DXSM shares the state layout but
-    not the output function, so it must take the fallback path.
-    """
-    return type(rng.bit_generator) is np.random.PCG64
-
-
-def peek_uniform_block(
-    rng: np.random.Generator,
-    rows: int,
-    stride: int,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """The doubles ``rng.random((rows, stride))[:, cols]`` *would*
-    produce, computed at their stream offsets without advancing ``rng``.
-
-    ``cols`` must hold column indices in ``[0, stride)``. The caller
-    that wants the generator to end up exactly where the full block
-    draw would have left it follows up with
-    ``rng.bit_generator.advance(rows * stride)`` (what
-    :meth:`CoinField.draw_at` does).
-    """
-    cols = np.asarray(cols, dtype=np.int64)
-    state = rng.bit_generator.state["state"]
-    inc = int(state["inc"])
-    s = int(state["state"])
-
-    # Per-column transforms: draw (t, cols[j]) is stream offset
-    # t * stride + cols[j], and numpy outputs the *post-advance* state,
-    # so the state to output has been advanced offset + 1 times.
-    a_hi, a_lo, c_hi, c_lo = _jump_transforms_vec(cols + 1, inc)
-
-    # Per-row base states: row t starts t * stride draws in.
-    row_mult, row_plus = jump_transform(stride, inc)
-    s_hi = np.empty(rows, dtype=np.uint64)
-    s_lo = np.empty(rows, dtype=np.uint64)
-    for t in range(rows):
-        s_hi[t] = s >> 64
-        s_lo[t] = s & _MASK64
-        s = (row_mult * s + row_plus) & _MASK128
-
-    g_hi, g_lo = _mul128(
-        a_hi[None, :], a_lo[None, :], s_hi[:, None], s_lo[:, None]
-    )
-    g_hi, g_lo = _add128(g_hi, g_lo, c_hi[None, :], c_lo[None, :])
-    return _xsl_rr_double(g_hi, g_lo)
-
-
-def row_base_states(
-    rng: np.random.Generator, rows: int, stride: int
-) -> tuple[np.ndarray, np.ndarray, np.uint64, np.uint64, np.uint64, np.uint64]:
-    """Per-row LCG launch states for a fused ``(rows, stride)`` block.
-
-    Returns ``(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo)``: the (hi, lo)
-    uint64 limbs of the generator state at the *start* of each row of a
-    row-major ``rng.random((rows, stride))`` draw (row ``t`` begins
-    ``t * stride`` draws into the future, computed with the same
-    :func:`jump_transform` stride jump :func:`peek_uniform_block`
-    uses), plus the increment and multiplier limbs. This is the host
-    side of the fused pipeline kernel
-    (:mod:`repro.engine.kernels`): the compiled kernel advances each
-    row's state one draw at a time — bit-identical to the block draw —
-    and the caller then moves the generator past the block with
-    ``rng.bit_generator.advance(rows * stride)``. Does not advance
-    ``rng`` itself.
-    """
-    state = rng.bit_generator.state["state"]
-    inc = int(state["inc"])
-    s = int(state["state"])
-    row_mult, row_plus = jump_transform(stride, inc)
-    s_hi = np.empty(rows, dtype=np.uint64)
-    s_lo = np.empty(rows, dtype=np.uint64)
-    for t in range(rows):
-        s_hi[t] = s >> 64
-        s_lo[t] = s & _MASK64
-        s = (row_mult * s + row_plus) & _MASK128
-    i_hi, i_lo = _split128(inc)
-    m_hi, m_lo = _split128(PCG64_MULT)
-    return s_hi, s_lo, i_hi, i_lo, m_hi, m_lo
+from ..radio.errors import ProtocolError
 
 
 class CoinField:
     """The coin source behind one streamed transmit plan.
 
-    ``draw(start, stop)`` is the legacy full block — a plain
-    ``rng.random((k, n))``, byte-identical to what the pre-residual
-    emitters drew. ``draw_at(start, stop, cols)`` returns only the
-    requested columns of that block while consuming the generator
-    exactly as the full draw would (offset generation + one
-    ``advance``, or block-draw-and-slice on non-PCG64 generators and
-    wide column sets) — so restricted and unrestricted executions of
-    one plan share a single rng stream, value for value.
-
-    The streaming executor's contract (consecutive, non-overlapping
-    ``[start, stop)`` intervals covering the plan in order, once each)
-    is what lets both forms map interval ``[start, stop)`` onto stream
-    offsets ``[start * n, stop * n)`` without any internal bookkeeping.
+    ``draw(rows, width)`` is ``rng.random((rows, width))`` written into
+    one long-lived buffer instead of a fresh allocation per chunk: at
+    streaming chunk sizes the fresh pages' first-touch faults are a
+    measurable slice of the draw itself. The returned view is only
+    valid until the next draw — every caller thresholds it into a bool
+    mask immediately (and may mutate it in place: the values are dead
+    once the mask exists).
     """
 
-    def __init__(self, rng: np.random.Generator, n: int) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.n = int(n)
-        self._offset_ok = supports_offset_draws(rng)
         self._scratch: np.ndarray | None = None
 
-    def _block(self, k: int) -> np.ndarray:
-        """Fill and return ``k`` full rows of a reused scratch block.
-
-        ``Generator.random(out=...)`` into one long-lived buffer
-        instead of a fresh ``(k, n)`` allocation per chunk: at
-        streaming chunk sizes the fresh pages' first-touch faults are
-        a measurable slice of the draw itself. The view is only valid
-        until the next draw — every caller consumes it immediately
-        (threshold compare or column take).
-        """
-        if self._scratch is None or self._scratch.shape[0] < k:
-            self._scratch = np.empty((k, self.n), dtype=np.float64)
-        view = self._scratch[:k]
+    def draw(self, rows: int, width: int) -> np.ndarray:
+        """The next ``(rows, width)`` block of the plan's coin stream."""
+        size = rows * width
+        if self._scratch is None or self._scratch.size < size:
+            self._scratch = np.empty(size, dtype=np.float64)
+        view = self._scratch[:size].reshape(rows, width)
         self.rng.random(out=view)
         return view
 
-    def draw(self, start: int, stop: int) -> np.ndarray:
-        """The full ``(stop - start, n)`` coin block (legacy form).
 
-        Returns a view of a reused scratch buffer, valid until the
-        next draw on this field — callers threshold it into a bool
-        mask immediately (and may mutate it in place: the values are
-        dead once the mask exists).
-        """
-        return self._block(stop - start)
+def member_positions(
+    members: np.ndarray, eligible: np.ndarray
+) -> np.ndarray:
+    """Positions of ``eligible`` inside the sorted ``members`` ids.
 
-    def draw_at(
-        self, start: int, stop: int, cols: np.ndarray
-    ) -> np.ndarray:
-        """Columns ``cols`` of the full block, same stream consumption."""
-        k = stop - start
-        if k <= 0:
-            return np.empty((0, cols.size), dtype=np.float64)
-        if (
-            not self._offset_ok
-            or cols.size * OFFSET_COST_FACTOR >= self.n
-        ):
-            # Draw-and-slice fallback, in bounded row blocks so the
-            # full-width scratch stays within the streaming cost model
-            # even when the restricted chunk height was sized for the
-            # (much narrower) residual width. The column take lands
-            # straight in the preassembled result — no per-block
-            # slices, no concatenate copy.
-            from .segments import coin_chunk
-
-            block = coin_chunk(self.n)
-            out = np.empty((k, cols.size), dtype=np.float64)
-            done = 0
-            while done < k:
-                rows = min(block, k - done)
-                np.take(
-                    self._block(rows), cols, axis=1,
-                    out=out[done:done + rows],
-                )
-                done += rows
-            return out
-        vals = peek_uniform_block(self.rng, k, self.n, cols)
-        self.rng.bit_generator.advance(k * self.n)
-        return vals
-
-    @property
-    def offset_ok(self) -> bool:
-        """Whether the generator supports offset (jump-ahead) draws."""
-        return self._offset_ok
-
-    def launch_states(
-        self, start: int, stop: int
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.uint64, np.uint64, np.uint64, np.uint64
-    ]:
-        """Per-row launch states for block ``[start, stop)``.
-
-        The streaming contract (consecutive intervals, in order) means
-        the generator already sits at stream offset ``start * n``, so
-        the row states come straight off the current state. The caller
-        pairs this with :meth:`skip` once the fused kernel has produced
-        the block's draws. Only valid when :attr:`offset_ok`.
-        """
-        return row_base_states(self.rng, stop - start, self.n)
-
-    def skip(self, rows: int) -> None:
-        """Consume ``rows`` full block rows without materializing them.
-
-        Leaves the generator exactly where ``draw(start, start + rows)``
-        would have — the fused pipeline kernel generates those values
-        inline from :meth:`launch_states` instead.
-        """
-        self.rng.bit_generator.advance(rows * self.n)
+    Refuses by name when an eligible node is not a member: its coin
+    would have nowhere to land, and the restricted execution would
+    silently drop a transmitter.
+    """
+    pos = np.searchsorted(members, eligible)
+    found = pos < members.size
+    found[found] = members[pos[found]] == eligible[found]
+    if not found.all():
+        raise ProtocolError(
+            f"masks_at: eligible transmitters "
+            f"{eligible[~found][:8].tolist()} are not among the "
+            f"{members.size} restricted member columns"
+        )
+    return pos
 
 
-__all__ = [
-    "CoinField",
-    "OFFSET_COST_FACTOR",
-    "PCG64_MULT",
-    "jump_transform",
-    "peek_uniform_block",
-    "row_base_states",
-    "supports_offset_draws",
-]
+def scatter_rows(
+    bits: np.ndarray,
+    eligible: np.ndarray,
+    n: int,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
+    """Place compact ``(k, L)`` eligible-node mask bits into a mask.
+
+    With ``cols`` omitted the result is the full ``(k, n)`` mask over
+    node ids; with ``cols`` (sorted member ids) it is the ``(k,
+    len(cols))`` member-column mask. Every other column is False: an
+    ineligible node never transmits.
+    """
+    if cols is None:
+        pos, width = eligible, n
+    else:
+        pos, width = member_positions(cols, eligible), cols.size
+    if pos.size == width:
+        # Sorted distinct positions covering every column are the
+        # identity: the compact bits already are the mask.
+        return bits
+    out = np.zeros((bits.shape[0], width), dtype=bool)
+    out[:, pos] = bits
+    return out
+
+
+__all__ = ["CoinField", "member_positions", "scatter_rows"]

@@ -16,9 +16,10 @@ the residual degrees, never inherited.
 Exactness: with transmitters confined to the support, every reception
 and every collision in the full graph happens between members —
 a non-member has no transmitting neighbor, so it hears silence in both
-worlds. Coins come from the plan's ``masks_at`` producer
-(:class:`~repro.engine.pcg.CoinField`), which consumes the rng stream
-exactly as the full draw would; fault transforms run column-restricted
+worlds. Coins come from the plan's ``masks_at`` producer, which under
+rng contract v2 draws the same compact eligible-node block as the full
+producer (:mod:`repro.engine.pcg`) and only scatters it into member
+columns instead of node ids; fault transforms run column-restricted
 but keyed on global ids (:meth:`~repro.faults.state.FaultState
 .transform_window`). Results, steps, per-phase trace totals, realized
 fault counters, and the final rng state are therefore bit-identical to
@@ -51,9 +52,7 @@ RESTRICT_LIVE_FRACTION = 0.5
 
 #: ``auto`` declines a context whose member set still exceeds this
 #: fraction of ``n``. Above it, the compacted masks/kernels/buffers no
-#: longer shrink enough to pay for the restriction bookkeeping — and
-#: the coins are already at full price there (column sets wider than
-#: ``n / OFFSET_COST_FACTOR`` take the draw-and-slice path).
+#: longer shrink enough to pay for the restriction bookkeeping.
 RESIDUAL_MAX_FRACTION = 0.5
 
 #: A cached context is rebuilt when the live count falls below this

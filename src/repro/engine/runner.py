@@ -55,6 +55,7 @@ from ..radio.network import (
 )
 from . import kernels
 from .kernels import require_delivery_mode
+from .pcg import scatter_rows
 from .residual import (
     REBUILD_FACTOR,
     RESIDUAL_MAX_FRACTION,
@@ -142,9 +143,6 @@ class WindowedRunner:
         # closure test is only retried after the live set halves again).
         self._residual_cache: ResidualContext | None = None
         self._residual_declined_live: int | None = None
-        # Reused (n,) threshold row for the non-binary pipeline mask
-        # fallback (see _pipeline_masks).
-        self._pipeline_thresh: np.ndarray | None = None
 
     def _resolved_chunk_steps(self, width: int | None = None) -> int | None:
         """The configured streaming bound, or ``None`` when unset.
@@ -281,17 +279,14 @@ class WindowedRunner:
     def _coo_fold_ok(self, sections: tuple[PlanSection, ...]) -> bool:
         """Whether the fused COO reception path may serve this plan.
 
-        Needs every section's ``consume_coo`` fold and a delivery mode
-        that routes per row (``"auto"``, gated on the module toggle so
-        benchmarks can pin the unfused baseline, or a forced
-        ``"pipeline"``). The validating runner overrides this to
-        ``False``: its replay machinery compares the *slab* paths, and
-        the pipeline itself is pinned by its own equivalence suite.
+        Needs every section's ``consume_coo`` fold and
+        ``delivery="auto"`` (gated on the module toggle so benchmarks
+        and the equivalence suites can pin the unfused baseline). The
+        validating runner overrides this to ``False``: its replay
+        machinery compares the *slab* paths, and the pipeline itself is
+        pinned by its own equivalence suite.
         """
-        if self.delivery == "auto":
-            if not kernels.pipeline_enabled():
-                return False
-        elif self.delivery != "pipeline":
+        if self.delivery != "auto" or not kernels.pipeline_enabled():
             return False
         return all(s.consume_coo is not None for s in sections)
 
@@ -384,55 +379,35 @@ class WindowedRunner:
         form: PipelineForm,
         start: int,
         k: int,
-        col_probs: np.ndarray,
-        binary_cols: np.ndarray | None = None,
+        eligible: np.ndarray,
+        col_thresh: np.ndarray | None,
     ) -> np.ndarray:
         """Produce chunk rows ``[start, start + k)`` of a pipeline plan.
 
-        The compiled leg draws the PCG64 coins inline from per-row
-        jump-ahead launch states and writes the threshold bits in the
-        same loop — the float coin block never exists — then advances
-        the generator past the block (:meth:`CoinField.skip`), leaving
-        the rng exactly where the block draw would. The numpy fallback
-        draws the block (into the coin field's reused scratch) and
-        thresholds it without a ``(k, n)`` float threshold matrix:
-        when ``binary_cols`` is given — the section's column factor is
-        0/1, the Decay/MIS case — the whole block compares against the
-        row probabilities alone and masks with one boolean AND
-        (``coin < rp * col`` with ``col`` in {0, 1} *is* ``(coin <
-        rp) & col``: a [0, 1) coin is never below 0); otherwise one
-        reused ``(n,)`` threshold row per step. Both produce the
-        emitter's mask bits exactly (see
+        Contract v2 (DESIGN.md §4.3): the chunk's coins are one
+        ``(k, L)`` block over the section's ``L`` eligible nodes — the
+        columns whose ``col_probs`` factor is nonzero — drawn into the
+        coin field's reused scratch and thresholded without a ``(k,
+        n)`` float threshold matrix. When ``col_thresh`` is ``None``
+        the eligible column factors are all 1 (the Decay/MIS case) and
+        the whole block compares against the row probabilities alone;
+        otherwise one reused ``(L,)`` threshold row per step. Both
+        produce the emitter's mask bits exactly (see
         :class:`~repro.radio.network.PipelineForm`).
         """
-        coins = form.coins
-        rp = np.ascontiguousarray(
-            form.row_probs[start : start + k], dtype=np.float64
-        )
-        out = np.empty((k, self.network.n), dtype=bool)
-        kern = kernels.pipeline_mask_kernel()
-        if kern is not None and coins.offset_ok:  # pragma: no cover
-            s_hi, s_lo, i_hi, i_lo, m_hi, m_lo = coins.launch_states(
-                start, start + k
-            )
-            kern(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, rp, col_probs, out)
-            coins.skip(k)
-            self.network._bump_kernel("pipeline-numba", k)
+        n = self.network.n
+        rp = form.row_probs[start : start + k]
+        block = form.coins.draw(k, eligible.size)
+        bits = np.empty((k, eligible.size), dtype=bool)
+        if col_thresh is None:
+            np.less(block, rp[:, None], out=bits)
         else:
-            block = coins.draw(start, start + k)
-            if binary_cols is not None:
-                np.less(block, rp[:, None], out=out)
-                out &= binary_cols[None, :]
-            else:
-                thresh = self._pipeline_thresh
-                if thresh is None or thresh.shape[0] != self.network.n:
-                    thresh = np.empty(self.network.n, dtype=np.float64)
-                    self._pipeline_thresh = thresh
-                for t in range(k):
-                    np.multiply(col_probs, rp[t], out=thresh)
-                    np.less(block[t], thresh, out=out[t])
-            self.network._bump_kernel("pipeline-numpy", k)
-        return out
+            thresh = np.empty(eligible.size, dtype=np.float64)
+            for t in range(k):
+                np.multiply(col_thresh, rp[t], out=thresh)
+                np.less(block[t], thresh, out=bits[t])
+        self.network._bump_kernel("pipeline-numpy", k)
+        return scatter_rows(bits, eligible, n)
 
     def _execute_stream_pipeline(
         self,
@@ -459,7 +434,6 @@ class WindowedRunner:
         timing = network.phase_timing
         fault_state = network._fault_state
         delivery = network._delivery_kernels()
-        mode = "auto" if self.delivery == "pipeline" else self.delivery
         chunk = default_stream_chunk(
             network.n, self._resolved_chunk_steps()
         )
@@ -468,23 +442,18 @@ class WindowedRunner:
             if section.phase is not None:
                 network.trace.enter_phase(section.phase)
             t0 = perf_counter()
-            col_probs = np.ascontiguousarray(
-                form.col_probs(base), dtype=np.float64
-            )
-            # Per-section column analysis, both optional fast paths:
-            # a 0/1 column factor lets the mask stage threshold the
-            # whole block at once, and the active index list lets the
-            # delivery stage scan transmitters compact (faults only
+            col_probs = np.asarray(form.col_probs(base), dtype=np.float64)
+            # Per-section column analysis: the nonzero column factors
+            # are the section's eligible nodes (the coin draw's width);
+            # an all-ones eligible factor lets the mask stage threshold
+            # the whole block at once; and a compact eligible list lets
+            # the delivery stage scan transmitters compact (faults only
             # clear bits, so the promise survives the transform).
-            active = col_probs != 0.0
-            binary_cols = (
-                active if bool((col_probs[active] == 1.0).all()) else None
-            )
-            cols = (
-                np.flatnonzero(active)
-                if 2 * int(active.sum()) <= network.n
-                else None
-            )
+            eligible = np.flatnonzero(col_probs)
+            col_thresh = col_probs[eligible]
+            if bool((col_thresh == 1.0).all()):
+                col_thresh = None
+            cols = eligible if 2 * eligible.size <= network.n else None
             timing["plan"] += perf_counter() - t0
             done = 0
             while done < section.width:
@@ -492,7 +461,7 @@ class WindowedRunner:
                 start = base + done
                 t0 = perf_counter()
                 masks = self._pipeline_masks(
-                    form, start, k, col_probs, binary_cols
+                    form, start, k, eligible, col_thresh
                 )
                 timing["coins"] += perf_counter() - t0
                 self._charge(k)
@@ -504,7 +473,8 @@ class WindowedRunner:
                 t2 = perf_counter()
                 timing["faults"] += t2 - t1
                 steps, nodes, senders = delivery.execute_coo(
-                    masks, mode, counters=network.kernel_use, cols=cols
+                    masks, self.delivery, counters=network.kernel_use,
+                    cols=cols,
                 )
                 receptions = int(steps.size)
                 if fault_state is not None and receptions:
@@ -662,9 +632,8 @@ class WindowedRunner:
             )
         t1 = perf_counter()
         timing["faults"] += t1 - t0
-        mode = "auto" if self.delivery == "pipeline" else self.delivery
         steps, local, senders_local = ctx.kernels.execute_coo(
-            intended, mode, counters=network.kernel_use
+            intended, self.delivery, counters=network.kernel_use
         )
         nodes = ctx.members[local]
         senders = ctx.members[senders_local]

@@ -27,9 +27,10 @@ may (and usually does) depend on receptions from segments already
 completed, and on randomness drawn while building the window. Emitters
 that draw coins for a window must draw them in the same order the
 step-wise reference implementation draws them (numpy's row-major
-``rng.random((w, n))`` equals ``w`` consecutive ``rng.random(n)``
-calls), which is what keeps engine and reference runs on one seed
-bit-identical.
+``rng.random((w, L))`` equals ``w`` consecutive ``rng.random(L)``
+calls — under rng contract v2, DESIGN.md §4.3, ``L`` is the number of
+nodes eligible to transmit), which is what keeps engine and reference
+runs on one seed bit-identical.
 
 Plan/commit form
 ----------------

@@ -126,13 +126,16 @@ class PipelineForm:
     over each section (``base`` is the section's first plan row) —
     which is exactly what lets one fused pass draw the coin and decide
     the bit in the same loop, without the emitter's intermediate
-    arrays. The product must reproduce the emitter's vectorized mask
-    arithmetic **bit-for-bit**; the two emitter families that opt in
-    satisfy that exactly:
+    arrays. The nonzero entries of ``col_probs(base)`` are the
+    section's **eligible** nodes: under rng contract v2 (DESIGN.md
+    §4.3) the coins of a ``k``-row chunk are one ``(k, L)`` block over
+    those ``L`` nodes, in ascending id, and every other node's bit is
+    False without a draw. The product must reproduce the emitter's
+    vectorized mask arithmetic **bit-for-bit**; the two emitter
+    families that opt in satisfy that exactly:
 
-    * Decay: ``(coins < p_t) & active`` ⟺ ``coins < p_t * float(active)``
-      (the factor is 0.0 or 1.0 — multiplying by it is exact, and
-      ``coin < 0.0`` is False for every coin);
+    * Decay: ``coins < p_t`` on the active set ⟺ ``coins < p_t *
+      float(active)`` (the factor is 1.0 on every eligible column);
     * EED: ``coins < p_v / 2^i`` ⟺ ``coins < p_v * 2^-i`` (a power-of-two
       scale changes only the exponent, exact away from subnormals).
 
@@ -158,9 +161,11 @@ class TransmitPlan:
     consecutive, non-overlapping intervals covering ``[0, total_steps)``
     in order, exactly once each — so a producer may draw its coins
     lazily inside ``masks`` and still consume the rng stream in the
-    same order (and the same total amount) as one monolithic
-    row-major draw, whatever chunk size the executor picks. The chunk
-    size is therefore a memory knob, never a semantics knob.
+    same order (and the same total amount) as its step-wise twin,
+    whatever chunk size the executor picks: under rng contract v2 a
+    chunk draws ``rng.random((stop - start, L))`` over the ``L`` nodes
+    eligible to transmit (DESIGN.md §4.3). The chunk size is therefore
+    a memory knob, never a semantics knob.
 
     Two optional fields opt a plan into **active-set-restricted
     delivery** (:mod:`repro.engine.residual`):
@@ -171,9 +176,9 @@ class TransmitPlan:
       the plan on the residual graph induced by ``support`` and its
       neighborhood instead of all of ``n``.
     * ``masks_at(start, stop, cols)`` — the ``cols`` columns of
-      ``masks(start, stop)``, produced while consuming the plan's coin
-      stream exactly as the full call would (see
-      :class:`~repro.engine.pcg.CoinField`). The same
+      ``masks(start, stop)``, drawing exactly the coins the full call
+      would (the eligible nodes are a subset of ``cols``; see
+      :func:`~repro.engine.pcg.scatter_rows`). The same
       consecutive-intervals contract applies; per plan the runner
       commits to one of the two producers and never mixes them within
       an interval.
@@ -188,8 +193,8 @@ class TransmitPlan:
     masks: Callable[[int, int], np.ndarray]
     support: np.ndarray | None = None
     masks_at: Callable[[int, int, np.ndarray], np.ndarray] | None = None
-    #: Optional separable form for the fused pipeline pass (ISSUE 9):
-    #: a :class:`PipelineForm` proving the masks factor into per-row ×
+    #: Optional separable form for the fused pipeline pass: a
+    #: :class:`PipelineForm` proving the masks factor into per-row ×
     #: per-column thresholds over the plan's coin field. Pure opt-in
     #: accelerator like ``support``/``masks_at`` — plans without it
     #: (or runs with the pipeline disabled) execute exactly as before.

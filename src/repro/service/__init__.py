@@ -5,7 +5,7 @@ Four layers, bottom up:
 - :mod:`repro.service.store` — the content-addressed
   :class:`ReportStore`, keyed by :class:`JobKey` (protocol, graph
   digest, seed, trial, resolved-policy digest, faults digest, config
-  digest). Run once, serve forever.
+  digest, semantics version). Run once, serve forever.
 - :mod:`repro.service.campaign` — :class:`CampaignSpec` (the
   declarative grid) and :class:`Campaign` (expand, dedupe against the
   store, fan out across the shared-memory worker pool, stream

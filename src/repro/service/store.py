@@ -2,15 +2,24 @@
 
 The service's core bet is that a Monte-Carlo campaign is a *pure
 function* of its coordinates: a seeded protocol run is bit-identical
-given ``(protocol, graph, seed, resolved policy, faults, config)`` —
-the equivalence suites pin exactly that. So the store keys every
+given ``(protocol, graph, seed, resolved policy, faults, config)`` and
+the code's :data:`~repro.api.report.SEMANTICS` version — the
+equivalence suites pin exactly that. So the store keys every
 :class:`~repro.api.report.RunReport` by the :class:`JobKey` of those
-six coordinates (graph by corpus content digest, seed by the
+coordinates (graph by corpus content digest, seed by the
 ``(base seed, trial index)`` pair that determines its
 ``SeedSequence`` child, policy, faults, and protocol config by
 content digests) and a
 repeated request is a cache hit — no re-execution, and a campaign
 killed mid-flight resumes from whatever its first life persisted.
+Reports produced under another semantics version live under other
+keys, so they are never served.
+
+``get`` verifies what it serves: an entry that does not decode, whose
+stored digest is not the requested one, or whose ``format`` or
+``semantics`` this code does not know is quarantined (renamed to
+``<digest>.json.corrupt``), counted in ``corrupt``, and reported as a
+miss — the campaign recomputes it.
 
 Entries are one JSON document each (the :mod:`repro.api.wire` tagged
 format plus the key's own fields for listing), written atomically via
@@ -32,7 +41,7 @@ import pathlib
 import tempfile
 from typing import Any, Iterator
 
-from ..api.report import RunReport
+from ..api.report import SEMANTICS, RunReport
 from ..api.wire import decode_value, encode_value
 from ..engine.policy import ExecutionPolicy
 from ..radio.errors import ProtocolError
@@ -53,6 +62,9 @@ NO_FAULTS = "none"
 #: Digest value standing for "no protocol config" — the protocol's
 #: registered defaults.
 NO_CONFIG = "none"
+
+#: The entry document layout ``put`` writes and ``get`` accepts.
+FORMAT = 1
 
 
 def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
@@ -97,7 +109,7 @@ def config_digest(config: Any) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class JobKey:
-    """The six coordinates that determine one seeded run exactly.
+    """The coordinates that determine one seeded run exactly.
 
     ``seed`` and ``trial`` together name the rng stream: trial ``t`` of
     a campaign runs on ``np.random.SeedSequence(seed).spawn(n)[t]`` —
@@ -106,6 +118,9 @@ class JobKey:
     store serves those trials too. ``config`` is the protocol config's
     :func:`config_digest` (:data:`NO_CONFIG` for defaults): campaigns
     that differ only in config must not share cache entries.
+    ``semantics`` is the :data:`~repro.api.report.SEMANTICS` version
+    the run is produced under: a seeded-trajectory change bumps it, so
+    every earlier entry stops matching.
     """
 
     protocol: str
@@ -115,6 +130,7 @@ class JobKey:
     policy: str
     faults: str = NO_FAULTS
     config: str = NO_CONFIG
+    semantics: int = SEMANTICS
 
     def __post_init__(self) -> None:
         if not self.protocol or not isinstance(self.protocol, str):
@@ -127,7 +143,7 @@ class JobKey:
                 f"JobKey.graph must be a corpus content digest, "
                 f"got {self.graph!r}"
             )
-        for field in ("seed", "trial"):
+        for field in ("seed", "trial", "semantics"):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ProtocolError(
@@ -155,9 +171,10 @@ class ReportStore:
     Plain files, no index: ``get`` is a stat + read, ``put`` an atomic
     rename, and concurrent writers of the same key race benignly
     (content-addressed — same key, same resolved coordinates, same
-    report outcome). ``hits``/``misses``/``writes`` counters feed the
-    campaign engine's dedupe accounting and the service's status
-    endpoint.
+    report outcome). ``hits``/``misses``/``writes``/``corrupt``
+    counters feed the campaign engine's dedupe accounting and the
+    service's status endpoint; ``corrupt`` counts quarantined entries
+    (see the module docstring).
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -165,6 +182,7 @@ class ReportStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
+        self.corrupt = 0
 
     def path_for(self, key: "JobKey | str") -> pathlib.Path:
         """Entry path of a key (or raw digest): sharded by prefix."""
@@ -176,30 +194,63 @@ class ReportStore:
             return False
         return self.path_for(key).is_file()
 
-    def get(self, key: "JobKey | str") -> RunReport | None:
-        """The stored report of ``key``, or ``None`` (counted) on a miss."""
-        path = self.path_for(key)
+    def _load(
+        self, digest: str
+    ) -> tuple[dict[str, Any], RunReport] | None:
+        """The verified entry of ``digest``: ``(document, report)``.
+
+        ``None`` when there is no entry, or when the entry fails
+        verification — then it is quarantined and counted.
+        """
+        path = self.path_for(digest)
         try:
-            document = json.loads(path.read_text())
+            text = path.read_text()
         except FileNotFoundError:
+            return None
+        try:
+            document = json.loads(text)
+            ok = (
+                isinstance(document, dict)
+                and document.get("format") == FORMAT
+                and document.get("digest") == digest
+                and isinstance(document.get("key"), dict)
+                and document["key"].get("semantics") == SEMANTICS
+            )
+            if ok:
+                report = decode_value(document["report"])
+                ok = isinstance(report, RunReport)
+        except (ValueError, KeyError, TypeError, ProtocolError):
+            ok = False
+        if not ok:
+            self.corrupt += 1
+            try:
+                os.replace(path, path.with_name(path.name + ".corrupt"))
+            except OSError:  # pragma: no cover - a racing reader moved it
+                pass
+            return None
+        return document, report
+
+    def get(self, key: "JobKey | str") -> RunReport | None:
+        """The stored report of ``key``, or ``None`` (counted) on a miss.
+
+        An entry that fails verification is a miss too (and counted in
+        ``corrupt``), so the caller recomputes and ``put`` replaces it.
+        """
+        digest = key.digest if isinstance(key, JobKey) else key
+        entry = self._load(digest)
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        report = decode_value(document["report"])
-        if not isinstance(report, RunReport):
-            raise ProtocolError(
-                f"store entry {path.name} decoded to "
-                f"{type(report).__name__!r}, expected RunReport"
-            )
-        return report
+        return entry[1]
 
     def get_document(self, digest: str) -> dict[str, Any] | None:
         """The raw stored document (key fields + tagged report) of a
-        digest — what the fetch-report HTTP endpoint serves verbatim."""
-        path = self.path_for(digest)
-        if not path.is_file():
-            return None
-        return json.loads(path.read_text())
+        digest — what the fetch-report HTTP endpoint serves verbatim.
+        ``None`` for a missing entry and for one that fails
+        verification (which is quarantined, as in :meth:`get`)."""
+        entry = self._load(digest)
+        return None if entry is None else entry[0]
 
     def put(self, key: JobKey, report: RunReport) -> pathlib.Path:
         """Persist ``report`` under ``key`` atomically; return the path.
@@ -219,7 +270,7 @@ class ReportStore:
             return path
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {
-            "format": 1,
+            "format": FORMAT,
             "key": key.asdict(),
             "digest": key.digest,
             "report": encode_value(report),
@@ -251,10 +302,11 @@ class ReportStore:
         return sum(1 for _ in self.digests())
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/write counters plus the current entry count."""
+        """Hit/miss/write/corrupt counters plus the current entry count."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
+            "corrupt": self.corrupt,
             "entries": len(self),
         }

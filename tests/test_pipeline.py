@@ -1,10 +1,7 @@
 """The fused coin+fault+delivery pipeline (ISSUE 9).
 
-Four surfaces, every one pinned against an unfused twin:
+Three surfaces, every one pinned against an unfused twin:
 
-* the scalar PCG64 coin arithmetic of the fused mask kernel
-  (:func:`repro.engine.kernels._fused_mask_row`) against
-  ``rng.random`` on the same stream offsets;
 * the in-place fused fault transform
   (:meth:`~repro.faults.state.FaultState.transform_window_inplace`)
   and the point-wise deafness test
@@ -17,9 +14,9 @@ Four surfaces, every one pinned against an unfused twin:
   restricted COO folds) bit-identical to the unfused PR 7 paths for
   Decay, EED, and full Radio MIS — across arbitrary ``chunk_steps``
   splits, restriction modes, and fault schedules whose jam windows
-  straddle chunk and section boundaries — plus the ``"pipeline"``
-  mode's refusal-by-name when numba is absent, and the per-run reset
-  of the provenance counters (ISSUE 9 satellite).
+  straddle chunk and section boundaries — plus the refusal of unknown
+  delivery modes (the retired ``"pipeline"`` mode among them) and the
+  per-run reset of the provenance counters.
 """
 
 from __future__ import annotations
@@ -35,14 +32,10 @@ from repro.core.effective_degree import estimate_effective_degree
 from repro.engine import kernels
 from repro.engine.kernels import (
     DeliveryKernels,
-    _fused_mask_row,
     pipeline_disabled,
     pipeline_enabled,
-    pipeline_mask_kernel,
-    probe_numba,
     require_delivery_mode,
 )
-from repro.engine.pcg import row_base_states
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio.errors import ProtocolError
@@ -57,48 +50,6 @@ def _udg(n: int, seed: int) -> nx.Graph:
     return graphs.random_udg(
         n, side, np.random.default_rng(seed), connected=False
     )
-
-
-# ---------------------------------------------------------------------------
-# The fused coin kernel's scalar PCG64 arithmetic
-# ---------------------------------------------------------------------------
-
-
-class TestFusedCoinArithmetic:
-    @pytest.mark.parametrize("rows,n", [(1, 1), (3, 7), (5, 64), (2, 129)])
-    def test_fused_rows_match_block_draw(self, rows, n):
-        """Running the (uncompiled) fused row kernel from the
-        row_base_states launch states reproduces ``rng.random((rows,
-        n))`` masks bit-for-bit: same coins, same comparisons."""
-        rng = np.random.default_rng(20240907)
-        twin = np.random.default_rng(20240907)
-        s_hi, s_lo, i_hi, i_lo, m_hi, m_lo = row_base_states(rng, rows, n)
-        row_probs = np.linspace(0.05, 0.95, rows)
-        col_probs = np.linspace(0.0, 1.0, n)
-        out = np.zeros((rows, n), dtype=bool)
-        with np.errstate(over="ignore"):
-            for t in range(rows):
-                _fused_mask_row(
-                    s_hi[t], s_lo[t], i_hi, i_lo, m_hi, m_lo,
-                    row_probs[t], col_probs, out[t],
-                )
-        expected = twin.random((rows, n)) < (
-            row_probs[:, None] * col_probs[None, :]
-        )
-        assert (out == expected).all()
-
-    def test_launch_states_do_not_advance_rng(self):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        row_base_states(rng, 4, 10)
-        assert rng.bit_generator.state == before
-
-    def test_pipeline_kernel_probe_gated(self):
-        kernel = pipeline_mask_kernel()
-        if probe_numba():  # pragma: no cover - optional-deps leg
-            assert kernel is not None
-        else:
-            assert kernel is None
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +185,19 @@ class TestCooKernels:
 
 
 class TestPipelineMode:
-    def test_pipeline_is_a_compiled_mode(self):
-        assert "pipeline" in kernels.COMPILED_DELIVERY_MODES
-        assert kernels.compiled_kernel_name("pipeline") == (
-            "pipeline-numba"
-        )
-
-    @pytest.mark.skipif(
-        probe_numba(), reason="numba installed: refusal cannot fire"
-    )
-    def test_forced_pipeline_refuses_naming_numba(self):
+    @pytest.mark.parametrize("mode", ["pipeline", "fused", "quantum"])
+    def test_unknown_mode_refused(self, mode):
+        """Only the registry's modes are accepted; the fused pass is an
+        ``"auto"`` behavior, so the retired ``"pipeline"`` mode is
+        refused by name like any other unknown mode, at the kernel
+        registry and at the policy front door."""
+        assert mode not in kernels.ALL_DELIVERY_MODES
         with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("pipeline")
-        message = str(err.value)
-        assert "pipeline" in message
-        assert "numba" in message
-
-    def test_forced_pipeline_refusal_with_probe_pinned_off(
-        self, monkeypatch
-    ):
-        """The refusal fires on any machine when the probe is pinned
-        off — the no-numba CI leg's exact text."""
-        monkeypatch.setitem(kernels._probe_cache, "numba", False)
-        with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("pipeline")
-        assert "numba" in str(err.value)
+            require_delivery_mode(mode)
+        assert repr(mode) in str(err.value)
+        assert "unknown delivery mode" in str(err.value)
+        with pytest.raises(ProtocolError, match=repr(mode)):
+            api.ExecutionPolicy(delivery=mode)
 
     def test_pipeline_disabled_toggle_nests(self):
         assert pipeline_enabled()
@@ -269,23 +208,21 @@ class TestPipelineMode:
             assert not pipeline_enabled()
         assert pipeline_enabled()
 
-    def test_forced_pipeline_runs_end_to_end_when_available(self):
-        """delivery="pipeline" executes (refusing only without numba);
-        under auto the fused numpy pass serves the same plans."""
+    def test_auto_runs_the_fused_numpy_pass(self):
+        """Under ``"auto"`` the fused pass serves separable plans and
+        names itself in provenance; disabling it changes nothing but
+        the kernel rows."""
         g = _udg(150, 21)
-        if not probe_numba():
-            with pytest.raises(ProtocolError):
-                api.run(
-                    "decay", g, seed=3,
-                    policy=api.ExecutionPolicy(delivery="pipeline"),
-                )
-        else:  # pragma: no cover - optional-deps leg
-            forced = api.run(
-                "decay", g, seed=3,
-                policy=api.ExecutionPolicy(delivery="pipeline"),
-            )
-            auto = api.run("decay", g, seed=3)
-            assert forced.result == auto.result
+        fused = api.run("decay", g, seed=3)
+        with pipeline_disabled():
+            unfused = api.run("decay", g, seed=3)
+        assert fused.result == unfused.result
+        assert fused.provenance["delivery"]["kernel_use"].get(
+            "pipeline-numpy", 0
+        ) > 0
+        assert "pipeline-numpy" not in (
+            unfused.provenance["delivery"]["kernel_use"]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,10 @@
 
 Four layers, each pinned independently:
 
-* **PCG64 jump-ahead coins** (:mod:`repro.engine.pcg`) — the offset
-  draws must reproduce numpy's own stream value-for-value *and* leave
-  the generator in the exact state the full block draw would have.
-  numpy's PCG64 conventions (one uint64 per double, post-advance
-  output, XSL-RR, 53-bit mantissa) are pinned against numpy itself, so
-  a numpy whose stream changes fails here instead of silently
-  diverging downstream.
+* **Contract-v2 coins** (:mod:`repro.engine.pcg`) — compact
+  eligible-node blocks are ``rng.random`` row-major whatever the chunk
+  split, and scatter into full-width or member-column masks, refusing
+  by name an eligible node that is not a member.
 * **Delivery kernels** (:mod:`repro.engine.kernels`) — every mode is
   bit-identical to a brute-force dense reference on the same CSR, and
   degree-dependent routing state is recomputed from the CSR handed in
@@ -50,13 +47,7 @@ from repro.engine.kernels import (
     probe_numba,
     require_delivery_mode,
 )
-from repro.engine.pcg import (
-    CoinField,
-    OFFSET_COST_FACTOR,
-    jump_transform,
-    peek_uniform_block,
-    supports_offset_draws,
-)
+from repro.engine.pcg import CoinField, member_positions, scatter_rows
 from repro.engine.policy import ExecutionPolicy
 from repro.engine.residual import (
     RESTRICT_MODES,
@@ -73,8 +64,6 @@ from repro.radio.network import (
     NO_SENDER,
     TransmitPlan,
 )
-
-_MASK128 = (1 << 128) - 1
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -96,109 +85,61 @@ def _rng_state(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# PCG64 jump-ahead draws
+# Contract-v2 coins: compact eligible-node blocks
 # ---------------------------------------------------------------------------
 
 
-class TestOffsetDraws:
-    def test_jump_transform_matches_bit_generator_advance(self):
-        # The closed-form (A_d, C_d) must advance the raw LCG state to
-        # exactly where numpy's own ``advance`` puts it.
-        for seed, delta in [(0, 1), (7, 13), (123, 4096), (5, 10**6)]:
-            rng = np.random.default_rng(seed)
-            state = rng.bit_generator.state["state"]
-            s, inc = int(state["state"]), int(state["inc"])
-            mult, plus = jump_transform(delta, inc)
-            expected = (mult * s + plus) & _MASK128
-            rng.bit_generator.advance(delta)
-            assert rng.bit_generator.state["state"]["state"] == expected
-
-    def test_jump_transform_refuses_negative(self):
-        with pytest.raises(ValueError, match="jump delta"):
-            jump_transform(-1, 0)
-
-    def test_peek_matches_numpy_block_and_leaves_state(self):
-        rows, stride = 9, 57
-        cols = np.array([0, 3, 11, 12, 40, 56], dtype=np.int64)
-        rng = np.random.default_rng(2024)
-        twin = np.random.default_rng(2024)
-        before = _rng_state(rng)
-        vals = peek_uniform_block(rng, rows, stride, cols)
-        # Peek is a pure read: the generator has not moved.
-        assert _rng_state(rng) == before
-        full = twin.random((rows, stride))
-        np.testing.assert_array_equal(vals, full[:, cols])
-        # One advance(rows * stride) lands on the full draw's state.
-        rng.bit_generator.advance(rows * stride)
-        assert _rng_state(rng) == _rng_state(twin)
-
-    def test_supports_offset_draws_is_exact_pcg64_only(self):
-        assert supports_offset_draws(np.random.default_rng(0))
-        assert not supports_offset_draws(
-            np.random.Generator(np.random.PCG64DXSM(0))
-        )
-        assert not supports_offset_draws(
-            np.random.Generator(np.random.Philox(0))
-        )
-
-    def test_coinfield_draw_at_matches_draw_and_slice(self):
-        n = 97
-        cols = np.array([1, 5, 8, 44, 90], dtype=np.int64)
-        assert cols.size * OFFSET_COST_FACTOR < n  # jump path
+class TestCoinField:
+    def test_chunked_draws_are_one_row_major_stream(self):
+        # Any chunk split of a (k, L) plan draws the same values as one
+        # monolithic block, and leaves the generator in the same state.
+        width = 13
         rng_a = np.random.default_rng(31)
         rng_b = np.random.default_rng(31)
-        fast = CoinField(rng_a, n)
-        slow = CoinField(rng_b, n)
-        # Consecutive intervals, per the streaming executor's contract.
-        for start, stop in [(0, 4), (4, 5), (5, 12)]:
-            np.testing.assert_array_equal(
-                fast.draw_at(start, stop, cols),
-                slow.draw(start, stop)[:, cols],
-            )
+        coins = CoinField(rng_a)
+        got = np.concatenate(
+            [coins.draw(rows, width).copy() for rows in (4, 1, 7)]
+        )
+        np.testing.assert_array_equal(got, rng_b.random((12, width)))
         assert _rng_state(rng_a) == _rng_state(rng_b)
 
-    def test_coinfield_wide_cols_take_fallback(self):
-        # cols wide enough that draw-and-slice is cheaper: same values,
-        # same state, different route.
-        n = 12
-        cols = np.arange(0, n, 2, dtype=np.int64)
-        assert cols.size * OFFSET_COST_FACTOR >= n
-        rng_a = np.random.default_rng(8)
-        rng_b = np.random.default_rng(8)
-        got = CoinField(rng_a, n).draw_at(0, 7, cols)
-        want = CoinField(rng_b, n).draw(0, 7)[:, cols]
-        np.testing.assert_array_equal(got, want)
-        assert _rng_state(rng_a) == _rng_state(rng_b)
-
-    def test_coinfield_non_pcg64_takes_fallback(self):
-        n = 60
-        cols = np.array([2, 17, 31], dtype=np.int64)
+    def test_any_bit_generator(self):
+        # No stream arithmetic of its own: any numpy bit generator works.
         rng_a = np.random.Generator(np.random.PCG64DXSM(5))
         rng_b = np.random.Generator(np.random.PCG64DXSM(5))
-        got = CoinField(rng_a, n).draw_at(0, 6, cols)
-        want = CoinField(rng_b, n).draw(0, 6)[:, cols]
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            CoinField(rng_a).draw(6, 3), rng_b.random((6, 3))
+        )
         assert _rng_state(rng_a) == _rng_state(rng_b)
 
-    def test_coinfield_fallback_blocks_tall_windows(self):
-        # The draw-and-slice fallback must bound its full-width scratch:
-        # a very tall restricted window is drawn in coin_chunk-row
-        # blocks, still value-identical to the monolithic draw.
-        from repro.engine.segments import coin_chunk
+    def test_empty_blocks_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        before = _rng_state(rng)
+        coins = CoinField(rng)
+        assert coins.draw(0, 5).shape == (0, 5)
+        assert coins.draw(4, 0).shape == (4, 0)
+        assert _rng_state(rng) == before
 
-        n = 9
-        k = 3 * coin_chunk(n) + 5
-        cols = np.arange(n, dtype=np.int64)  # wide -> fallback
-        rng_a = np.random.default_rng(77)
-        rng_b = np.random.default_rng(77)
-        got = CoinField(rng_a, n).draw_at(0, k, cols)
-        want = rng_b.random((k, n))[:, cols]
-        np.testing.assert_array_equal(got, want)
+    def test_scatter_full_and_member_columns(self):
+        bits = np.array([[True, False, True], [False, True, True]])
+        eligible = np.array([1, 4, 6])
+        full = scatter_rows(bits, eligible, 8)
+        assert full.shape == (2, 8)
+        np.testing.assert_array_equal(full[:, eligible], bits)
+        assert not np.delete(full, eligible, axis=1).any()
+        members = np.array([0, 1, 4, 5, 6])
+        compact = scatter_rows(bits, eligible, 8, members)
+        np.testing.assert_array_equal(compact, full[:, members])
+        # Every node eligible: the compact bits are the mask.
+        assert scatter_rows(bits, np.arange(3), 3) is bits
 
-    def test_coinfield_empty_interval(self):
-        cf = CoinField(np.random.default_rng(0), 10)
-        out = cf.draw_at(5, 5, np.array([1, 2], dtype=np.int64))
-        assert out.shape == (0, 2)
+    def test_eligible_outside_members_refused_by_name(self):
+        with pytest.raises(ProtocolError, match="eligible transmitters"):
+            member_positions(np.array([0, 2, 5]), np.array([2, 3, 9]))
+        np.testing.assert_array_equal(
+            member_positions(np.array([0, 2, 5]), np.array([2, 5])),
+            [1, 2],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +242,7 @@ class TestModeRegistry:
             assert mode in avail
         for mode in COMPILED_DELIVERY_MODES:
             assert mode in ALL_DELIVERY_MODES
-            probe = {
-                "numba": probe_numba,
-                "cupy": probe_cupy,
-                "pipeline": probe_numba,
-            }[mode]
+            probe = {"numba": probe_numba, "cupy": probe_cupy}[mode]
             assert (mode in avail) == probe()
 
     def test_unknown_mode_refused_with_full_inventory(self):

@@ -36,7 +36,7 @@ from repro.analysis.experiments import (
     run_report_trials,
     summarize_reports,
 )
-from repro.api.report import RunReport
+from repro.api.report import SEMANTICS, RunReport
 from repro.api.wire import decode_value, encode_value
 from repro.corpus.generate import random_udg_csr
 from repro.corpus.store import CorpusStore
@@ -244,7 +244,8 @@ class TestStore:
         assert key in store
         assert store.get(key) == report
         assert store.stats() == {
-            "hits": 1, "misses": 1, "writes": 1, "entries": 1,
+            "hits": 1, "misses": 1, "writes": 1, "corrupt": 0,
+            "entries": 1,
         }
         assert list(store.digests()) == [key.digest]
 
@@ -274,6 +275,67 @@ class TestStore:
         store = ReportStore(tmp_path / "reports")
         with pytest.raises(ProtocolError, match="RunReport"):
             store.put(self._key(), {"steps": 3})
+
+    def test_semantics_is_a_key_coordinate(self):
+        key = self._key()
+        assert key.semantics == SEMANTICS
+        assert key.asdict()["semantics"] == SEMANTICS
+        # An entry produced under another semantics version lives at
+        # another address: never served for this version's runs.
+        assert self._key(semantics=SEMANTICS - 1).digest != key.digest
+        with pytest.raises(ProtocolError, match="JobKey.semantics"):
+            self._key(semantics="2")
+
+    def _stored(self, tmp_path):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        return store, key, report, store.put(key, report)
+
+    @staticmethod
+    def _damage(path, how, other):
+        text = path.read_text()
+        if how == "truncated":
+            path.write_text(text[: len(text) // 2])
+            return
+        document = json.loads(text)
+        if how == "wrong-digest":
+            document["key"] = other.asdict()
+            document["digest"] = other.digest
+        elif how == "format-99":
+            document["format"] = 99
+        else:  # an older semantics version's document
+            document["key"]["semantics"] = SEMANTICS - 1
+        path.write_text(json.dumps(document))
+
+    DAMAGES = ["truncated", "wrong-digest", "format-99", "old-semantics"]
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_unverifiable_entry_is_a_quarantined_miss(
+        self, tmp_path, damage
+    ):
+        store, key, report, path = self._stored(tmp_path)
+        self._damage(path, damage, self._key(seed=9))
+        assert store.get(key) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").is_file()
+        assert key not in store and len(store) == 0
+        # The caller recomputes; the fresh entry replaces the bad one.
+        store.put(key, report)
+        assert store.get(key) == report
+        assert store.corrupt == 1
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_get_document_refuses_unverifiable_entry(
+        self, tmp_path, damage
+    ):
+        store, key, _report, path = self._stored(tmp_path)
+        self._damage(path, damage, self._key(seed=9))
+        assert store.get_document(key.digest) is None
+        assert store.corrupt == 1
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +480,23 @@ class TestCampaign:
         assert status["cached"] == 6 and status["executed"] == 0
         assert again.final_summary() == first.final_summary()
         assert all(a == b for a, b in zip(again.reports, first.reports))
+
+    def test_corrupt_entry_is_recomputed(self, stores, tmp_path):
+        """A truncated store entry is a miss, not a crash: the campaign
+        quarantines it, recomputes the job, and reports identically."""
+        corpus, digest, _ = stores
+        store = ReportStore(tmp_path / "r")
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=4, seed=42)
+        first = run_campaign(spec, store, corpus=corpus)
+        path = store.path_for(first.jobs[2].key)
+        path.write_text(path.read_text()[:100])
+        again = run_campaign(spec, store, corpus=corpus)
+        status = again.status()
+        assert status["cached"] == 3 and status["executed"] == 1
+        assert store.corrupt == 1
+        assert all(a == b for a, b in zip(again.reports, first.reports))
+        assert len(store) == 4
 
     def test_distinct_configs_occupy_distinct_store_cells(
         self, stores, tmp_path
@@ -738,7 +817,7 @@ class TestService:
         health = service.health()
         assert health["ok"] is True
         assert set(health["store"]) == {
-            "hits", "misses", "writes", "entries",
+            "hits", "misses", "writes", "corrupt", "entries",
         }
 
     def test_submit_stream_fetch_resubmit(self, service, stores):
@@ -840,6 +919,25 @@ class TestService:
                 service.wait(submitted["id"], timeout=0.0)
         service.cancel(submitted["id"])
         service.wait(submitted["id"], timeout=120)
+
+    def test_fetch_of_corrupt_entry_is_a_404(self, stores, tmp_path):
+        corpus, digest, _ = stores
+        with start_in_thread(tmp_path / "reports", corpus,
+                             workers=1) as handle:
+            client = ServiceClient(port=handle.port)
+            spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                                n_trials=1, seed=3)
+            ident = client.submit(spec)["id"]
+            client.wait(ident, timeout=120)
+            job = client.jobs(ident)[0]
+            path = ReportStore(tmp_path / "reports").path_for(
+                job["digest"]
+            )
+            path.write_text("{")
+            with pytest.raises(ServiceError) as err:
+                client.fetch_document(job["digest"])
+            assert err.value.status == 404
+            assert client.health()["store"]["corrupt"] == 1
 
     def test_service_errors_are_protocol_errors(self):
         assert issubclass(ServiceError, ProtocolError)

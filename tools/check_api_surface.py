@@ -50,6 +50,7 @@ EXPECTED_API_ALL = [
     "ProtocolSpec",
     "RestartableMISConfig",
     "RunReport",
+    "SEMANTICS",
     "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",

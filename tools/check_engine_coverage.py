@@ -62,7 +62,7 @@ TEST_FILES = [
     # primary exerciser: equivalence, refusals, shims, resolution.
     "tests/test_api.py",
     "tests/test_dense_routing.py",
-    # Residual delivery + compiled kernels (pcg offset draws, kernel
+    # Residual delivery + compiled kernels (contract-v2 coins, kernel
     # registry, restriction equivalence) — ISSUE 7's engine additions.
     "tests/test_residual.py",
     # The corpus layer (cell-grid generation, the mmap store, shm
