@@ -1,25 +1,18 @@
-"""P7 — residual-graph delivery + compiled chunk kernels at n = 10^5.
+"""P7 — residual-graph delivery at n = 10^5.
 
 PR 7 made the streamed engine *scale-proportional to the live set*
 instead of to ``n``: active-set-restricted delivery through residual
-contexts (:mod:`repro.engine.residual`), fused per-round MIS plans,
-and a registered compiled chunk kernel (numba ``@njit`` CSR, numpy
-fallback). Three claims to pin, all on end-to-end Radio MIS under a
-**256 MiB** streaming budget:
+contexts (:mod:`repro.engine.residual`) and fused per-round MIS plans.
+Two claims to pin, both on end-to-end Radio MIS under a **256 MiB**
+streaming budget:
 
-* **Bit-identity first.** At a small n, every accelerated leg —
-  ``restrict="force"``, ``restrict="auto"``, and ``delivery="numba"``
-  when installed — reproduces the unrestricted run exactly: MIS
-  result, steps, per-phase trace totals, and the final rng state.
-  A timing row is meaningless unless this passes, so it gates.
-* **Restriction alone pays.** Pure-NumPy restricted MIS (the numba
-  probe is forced off for both sides, so CI machines with numba
-  measure the same thing this container does) beats the PR 6 windowed
-  baseline by at least **1.5x** wall-clock.
-* **The compiled kernel pays on top.** With numba installed, the
-  restricted + ``@njit``-CSR leg beats the baseline by at least
-  **3x**. Without numba the leg is recorded but the floor is waived
-  (the CI optional-deps matrix runs the gated form).
+* **Bit-identity first.** At a small n, every restricted leg —
+  ``restrict="force"`` and ``restrict="auto"`` — reproduces the
+  unrestricted run exactly: MIS result, steps, per-phase trace totals,
+  and the final rng state. A timing row is meaningless unless this
+  passes, so it gates.
+* **Restriction pays.** Restricted MIS beats the unrestricted
+  (``restrict="off"``) run by at least **1.5x** wall-clock.
 
 Rows persist to ``BENCH_PR7.json``. Run directly::
 
@@ -32,7 +25,6 @@ or through ``benchmarks/run_perf_smoke.py`` (``--skip-p7`` /
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import pathlib
 import platform
@@ -49,35 +41,8 @@ RESULT_PATH = REPO_ROOT / "BENCH_PR7.json"
 #: acceptance envelope for n = 10^5).
 MEM_BUDGET = "256M"
 
-#: Pure-NumPy restricted MIS over the PR 6 windowed baseline.
+#: Restricted MIS over the unrestricted (PR 6 windowed) baseline.
 RESTRICT_FLOOR = 1.5
-
-#: Restricted + numba ``@njit`` CSR kernel over the same baseline
-#: (gated only where numba is installed).
-NUMBA_FLOOR = 3.0
-
-
-@contextlib.contextmanager
-def _numpy_only():
-    """Force the numba probe off so a leg measures pure NumPy.
-
-    The auto router silently upgrades sparse rows to the ``@njit``
-    kernel wherever numba imports, so on a CI machine with numba the
-    baseline and restricted-numpy legs would quietly measure the
-    compiled kernel. Pinning the probe cache keeps those two legs
-    comparable across environments.
-    """
-    from repro.engine import kernels
-
-    prior = kernels._probe_cache.get("numba")
-    kernels._probe_cache["numba"] = False
-    try:
-        yield
-    finally:
-        if prior is None:
-            kernels._probe_cache.pop("numba", None)
-        else:
-            kernels._probe_cache["numba"] = prior
 
 
 def _udg(n: int, seed: int):
@@ -113,17 +78,13 @@ def _mis_once(g, seed: int, policy):
 
 
 def check_bit_identity(n: int = 1500, seed: int = 71) -> dict:
-    """Every accelerated leg equals the unrestricted run, exactly."""
-    from repro.engine.kernels import probe_numba
-
+    """Every restricted leg equals the unrestricted run, exactly."""
     g = _udg(n, seed)
     legs = {
         "off": _policy(restrict="off"),
         "force": _policy(restrict="force"),
         "auto": _policy(restrict="auto"),
     }
-    if probe_numba():  # pragma: no cover - CI optional-deps leg
-        legs["numba"] = _policy(restrict="auto", delivery="numba")
     runs = {
         name: _mis_once(g, seed + 1, pol) for name, pol in legs.items()
     }
@@ -157,44 +118,27 @@ def check_bit_identity(n: int = 1500, seed: int = 71) -> dict:
 
 
 def bench_mis_legs(n: int, seed: int = 72) -> dict:
-    """The timed legs: baseline, restricted-numpy, accelerated."""
-    from repro.engine.kernels import compiled_kernel_name, probe_numba
-
+    """The timed legs: baseline and restricted."""
     g = _udg(n, seed)
     edges = g.number_of_edges()
 
-    with _numpy_only():
-        base_res, base_net, _, base_s = _mis_once(
-            g, seed + 1, _policy(restrict="off")
-        )
-        rest_res, rest_net, _, rest_s = _mis_once(
-            g, seed + 1, _policy(restrict="auto")
-        )
+    base_res, base_net, _, base_s = _mis_once(
+        g, seed + 1, _policy(restrict="off")
+    )
+    rest_res, rest_net, _, rest_s = _mis_once(
+        g, seed + 1, _policy(restrict="auto")
+    )
     assert rest_res.mis == base_res.mis
     assert rest_res.steps_used == base_res.steps_used
-
-    have_numba = probe_numba()
-    accel_policy = _policy(
-        restrict="auto", delivery="numba" if have_numba else "auto"
-    )
-    if have_numba:  # pragma: no cover - CI optional-deps leg
-        _mis_once(g, seed + 1, accel_policy)  # untimed JIT warmup
-    accel_res, accel_net, _, accel_s = _mis_once(
-        g, seed + 1, accel_policy
-    )
-    assert accel_res.mis == base_res.mis
-    assert accel_res.steps_used == base_res.steps_used
 
     # Peak footprint of the restricted leg, measured separately so the
     # tracemalloc hooks never touch a timed run.
     tracemalloc.start()
-    with _numpy_only():
-        _mis_once(g, seed + 1, _policy(restrict="auto"))
+    _mis_once(g, seed + 1, _policy(restrict="auto"))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     restrict_speedup = base_s / rest_s
-    numba_speedup = base_s / accel_s
     return {
         "workload": "end-to-end Radio MIS, streamed under "
         f"{MEM_BUDGET} (eed_C=2)",
@@ -205,20 +149,12 @@ def bench_mis_legs(n: int, seed: int = 72) -> dict:
         "mem_budget": MEM_BUDGET,
         "baseline_s": base_s,
         "restricted_numpy_s": rest_s,
-        "accelerated_s": accel_s,
         "restrict_speedup": restrict_speedup,
         "restrict_floor": RESTRICT_FLOOR,
-        "numba_available": have_numba,
-        "accelerated_kernel": compiled_kernel_name(
-            "numba" if have_numba else "auto"
-        ),
-        "numba_speedup": numba_speedup,
-        "numba_floor": NUMBA_FLOOR if have_numba else None,
         "peak_mem_bytes": peak,
         "residual_stats": dict(rest_net.residual_stats),
         "baseline_kernel_use": dict(base_net.kernel_use),
         "restricted_kernel_use": dict(rest_net.kernel_use),
-        "accelerated_kernel_use": dict(accel_net.kernel_use),
     }
 
 
@@ -227,10 +163,6 @@ def run_bench(n: int = 100000, identity_n: int = 1500) -> dict:
     identity = check_bit_identity(n=identity_n)
     legs = bench_mis_legs(n=n)
     passes = legs["restrict_speedup"] >= legs["restrict_floor"]
-    if legs["numba_floor"] is not None:  # pragma: no cover - CI leg
-        passes = passes and (
-            legs["numba_speedup"] >= legs["numba_floor"]
-        )
     return {
         "bench": "p7_kernels",
         "generated": datetime.now(timezone.utc).isoformat(),
@@ -266,19 +198,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"bit-identity n={ident['n']}: legs {ident['legs']} identical"
     )
-    gate = (
-        f" (floor {legs['numba_floor']}x)"
-        if legs["numba_floor"] is not None
-        else " (no numba: floor waived)"
-    )
     print(
         f"MIS n={legs['n']}: baseline {legs['baseline_s']:.2f}s, "
         f"restricted numpy {legs['restricted_numpy_s']:.2f}s "
         f"= {legs['restrict_speedup']:.2f}x "
         f"(floor {legs['restrict_floor']}x), "
-        f"accelerated [{legs['accelerated_kernel']}] "
-        f"{legs['accelerated_s']:.2f}s "
-        f"= {legs['numba_speedup']:.2f}x{gate}, "
         f"peak {legs['peak_mem_bytes'] / 2**20:.0f} MiB"
     )
     write_results(results)

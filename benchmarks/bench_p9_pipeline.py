@@ -12,10 +12,9 @@ budget:
   (PR 7) run exactly: MIS result, steps, per-phase trace totals,
   realized fault counters, and the final rng state. A timing row is
   meaningless unless this passes, so it gates.
-* **Fusion alone pays.** The pure-NumPy fused pipeline (numba probe
-  forced off on both sides, so CI machines with numba measure the
-  same thing this container does) beats the PR 7 restricted
-  pure-NumPy path by at least **1.5x** wall-clock at n = 10^5.
+* **Fusion alone pays.** The pure-NumPy fused pipeline beats the PR 7
+  restricted pure-NumPy path by at least **1.5x** wall-clock at
+  n = 10^5.
 
 The cap: one end-to-end n = 10^6 MIS, generated into the corpus
 store, mmap-loaded back, and streamed under ``E2E_MEM_BUDGET`` with
@@ -59,27 +58,6 @@ E2E_PEAK_CEILING_BYTES = 3 * 2**30
 
 #: Pure-NumPy fused pipeline over the PR 7 restricted-numpy path.
 PIPELINE_FLOOR = 1.5
-
-
-@contextlib.contextmanager
-def _numpy_only():
-    """Force the numba probe off so a leg measures pure NumPy.
-
-    Without this, a CI machine with numba would route both the
-    baseline and the fused-numpy leg through compiled kernels and the
-    two legs would no longer measure what this container measures.
-    """
-    from repro.engine import kernels
-
-    prior = kernels._probe_cache.get("numba")
-    kernels._probe_cache["numba"] = False
-    try:
-        yield
-    finally:
-        if prior is None:
-            kernels._probe_cache.pop("numba", None)
-        else:
-            kernels._probe_cache["numba"] = prior
 
 
 def _udg(n: int, seed: int):
@@ -202,13 +180,12 @@ def bench_pipeline_legs(n: int, seed: int = 92) -> dict:
     g = _udg(n, seed)
     edges = g.number_of_edges()
 
-    with _numpy_only():
-        base_res, base_net, base_rng, base_s = _mis_once(
-            g, seed + 1, _policy(), fused=False
-        )
-        fused_res, fused_net, fused_rng, fused_s = _mis_once(
-            g, seed + 1, _policy(), fused=True
-        )
+    base_res, base_net, base_rng, base_s = _mis_once(
+        g, seed + 1, _policy(), fused=False
+    )
+    fused_res, fused_net, fused_rng, fused_s = _mis_once(
+        g, seed + 1, _policy(), fused=True
+    )
     # The identity trio again, at the timed scale: a speedup row only
     # counts if this exact pair of runs agreed bit for bit.
     assert fused_res.mis == base_res.mis

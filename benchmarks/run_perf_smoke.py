@@ -19,9 +19,9 @@ the ``bench_p6_faults`` pass (PR 6: the fault-injection layer — a run
 with an empty ``FaultSchedule`` within 5% of one with none, plus
 degradation curves for the robustness protocol variants — persisted
 to ``BENCH_PR6.json``), and the ``bench_p7_kernels`` pass (PR 7:
-residual-graph delivery + compiled chunk kernels — small-n
-bit-identity of every accelerated leg, then the restricted-MIS
-speedup gates at scale — persisted to ``BENCH_PR7.json``), and the
+residual-graph delivery — small-n bit-identity of every restricted
+leg, then the restricted-MIS speedup gate at scale — persisted to
+``BENCH_PR7.json``), and the
 ``bench_p8_corpus`` pass (PR 8: the graph corpus layer — cell-grid
 CSR generation bit-compatible with the reference generators and at
 least 10x faster, metadata-only mmap loads, and zero-copy
@@ -338,17 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         bench_p7_kernels.write_results(p7)
 
         legs = p7["mis_legs"]
-        gate = (
-            f"(floor {legs['numba_floor']}x)"
-            if legs["numba_floor"] is not None
-            else "(no numba: floor waived)"
-        )
         print(
             f"residual MIS n={legs['n']}: restricted numpy "
             f"{legs['restrict_speedup']:.2f}x "
-            f"(floor {legs['restrict_floor']}x), accelerated "
-            f"[{legs['accelerated_kernel']}] "
-            f"{legs['numba_speedup']:.2f}x {gate}"
+            f"(floor {legs['restrict_floor']}x)"
         )
         print(f"persisted to {bench_p7_kernels.RESULT_PATH}")
         ok = ok and p7["passes_floors"]

@@ -21,7 +21,6 @@ from typing import Any
 import networkx as nx
 import numpy as np
 
-from ..engine.kernels import compiled_kernel_name
 from ..engine.policy import ExecutionPolicy
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
@@ -296,7 +295,7 @@ def run(
     delivery_prov: dict[str, Any] = {
         "mode": resolved.delivery,
         "restrict": resolved.restrict,
-        "kernel": compiled_kernel_name(resolved.delivery),
+        "kernel": "numpy",
     }
     if network is not None:
         delivery_prov["kernel_use"] = dict(network.kernel_use)

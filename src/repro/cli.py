@@ -67,9 +67,9 @@ from .engine.policy import (
     parse_mem_budget,
     validate_chunk_steps,
 )
-from .engine.kernels import ALL_DELIVERY_MODES
 from .engine.residual import RESTRICT_MODES
 from .radio.errors import ProtocolError
+from .radio.network import DELIVERY_MODES
 
 
 def _build_graph(args: argparse.Namespace, rng: np.random.Generator):
@@ -179,13 +179,12 @@ def _add_policy_options(
     group.add_argument(
         "--delivery",
         default="auto",
-        choices=list(ALL_DELIVERY_MODES),
+        choices=list(DELIVERY_MODES),
         help=(
             "window execution strategy (bit-identical; auto routes per "
             "window row on mask density and COO output size, and runs "
             "the fused coin+fault+delivery pass on plans that declare "
-            "a separable form; numba/cupy need their optional package "
-            "installed and refuse by name otherwise)"
+            "a separable form; sparse and dense force one kernel family)"
         ),
     )
     group.add_argument(

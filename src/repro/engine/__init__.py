@@ -48,11 +48,8 @@ windows").
 """
 
 from .kernels import (
-    ALL_DELIVERY_MODES,
-    COMPILED_DELIVERY_MODES,
     DeliveryKernels,
     available_delivery_modes,
-    compiled_kernel_name,
     require_delivery_mode,
 )
 from .mux import multiplex
@@ -98,9 +95,7 @@ from .streaming import (
 from .validate import ObliviousnessViolationError, ValidatingRunner
 
 __all__ = [
-    "ALL_DELIVERY_MODES",
     "COIN_BUDGET",
-    "COMPILED_DELIVERY_MODES",
     "CoinField",
     "DELIVERY_MODES",
     "DeliveryKernels",
@@ -128,7 +123,6 @@ __all__ = [
     "available_delivery_modes",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "compiled_kernel_name",
     "legacy_policy",
     "memory_budget",
     "multiplex",

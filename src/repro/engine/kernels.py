@@ -1,12 +1,21 @@
-"""Registered chunk-delivery kernels over raw CSR adjacency.
+"""The window-delivery kernels: one exact kernel set over raw CSR.
 
-:class:`DeliveryKernels` is the window-execution engine of
-:class:`~repro.radio.RadioNetwork` factored out onto bare
+:class:`DeliveryKernels` executes blocks of oblivious radio steps — a
+boolean ``(w, n)`` transmit-mask block — against bare
 ``(indptr, indices)`` arrays, so the same density-adaptive routing and
-the same exact integer arithmetic can run against *any* CSR — the full
-adjacency or a residual sub-graph built by
+the same exact integer arithmetic serve *any* CSR: the full adjacency
+(every :class:`~repro.radio.RadioNetwork` window delegates here) or a
+residual sub-graph built by
 :meth:`~repro.graphs.context.GraphContext.induced_csr` when a
 protocol's live set has collapsed (:mod:`repro.engine.residual`).
+
+Every kernel returns clean receptions as ``(step, node, sender)`` int64
+triples (:meth:`DeliveryKernels.execute_coo`); slab delivery into a
+``(w, n)`` hear matrix (:meth:`DeliveryKernels.execute`) is that triple
+plus one scatter. Each kernel computes exact small-integer sums in
+float64, so every routing decision yields the same bits — the step-wise
+:meth:`~repro.radio.RadioNetwork.deliver` matvec and the brute-force
+reference in the tests are the independent oracles (DESIGN.md §7).
 
 Degree-dependent routing state (max/min degree for the auto router's
 output-size pre-emption, the dense packing bound) is **recomputed from
@@ -15,31 +24,10 @@ sub-graph's degrees are what its routing decisions must use (inherited
 extremes would over-route shrunken graphs dense and can violate the
 packing bound's premise in the other direction).
 
-Two optional compiled tiers register here:
-
-* ``"numba"`` — an ``@njit`` CSR scatter kernel (per-row transmitter
-  walk, integer collision counts, last-writer sender slots). Every
-  quantity is an int64, so it is **exact**: bit-identical to the numpy
-  kernels, validated by :class:`~repro.engine.validate.ValidatingRunner`
-  and the differential-fuzz harness like any other path.
-* ``"cupy"`` — the complex sparse product on the GPU. Same
-  small-integer-in-float64 exactness argument as the CPU spmm
-  componentwise, so it sits in the same exactness tier wherever the
-  device's flush-to-zero settings leave exact integer adds alone
-  (DESIGN.md §7 documents the tiers).
-
 The fused coin+fault+delivery chunk pass that ``delivery="auto"`` runs
-(:meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) is pure
-NumPy: a compact ``(k, L)`` coin block over the section's eligible
-nodes (rng contract v2), in-place fault transforms, and COO reception
-delivery via :meth:`DeliveryKernels.execute_coo` — no ``(k, n)`` hear
-slab. It is an ``"auto"`` behavior, not a selectable mode.
-
-No optional dependency is imported until probed; probing is cached.
-Requesting an absent backend raises the uniform
-:class:`~repro.radio.errors.ProtocolError` naming the installed
-alternatives — silent fallback happens only under ``delivery="auto"``
-(:func:`require_delivery_mode`, satellite of ISSUE 7).
+(:meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) feeds its
+blocks to :meth:`DeliveryKernels.execute_coo` directly — no ``(k, n)``
+hear slab. It is an ``"auto"`` behavior, not a selectable mode.
 """
 
 from __future__ import annotations
@@ -50,54 +38,57 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..radio.errors import ProtocolError
-from ..radio.network import (
-    DELIVERY_MODES,
-    DENSE_ROW_DENSITY,
-    DENSE_WINDOW_CELL_BYTES,
-    GATHER_WINDOW_WIDTH,
-    NO_SENDER,
-    SPARSE_COO_ENTRY_BYTES,
-    SPARSE_PREEMPT_FACTOR,
-)
+from ..radio.network import DELIVERY_MODES
 
-#: Delivery modes that require an optional compiled dependency.
-COMPILED_DELIVERY_MODES = ("numba", "cupy")
+#: Rows whose transmit-mask popcount density (``popcount / n``) reaches
+#: this fraction route through the dense matmul under ``mode="auto"``.
+#: Rationale: the sparse product pays COO materialization and index
+#: juggling per output entry, and its output stops being sparse as soon
+#: as a few percent of nodes transmit on a non-trivial graph — the
+#: measured crossover against the packed one-real-matmul dense path
+#: sits near density 0.03-0.05 across UDG densities at ``n = 2000``
+#: (calibrated in ``bench_p3_engine``; EstimateEffectiveDegree's
+#: ``p ~ 0.5`` levels are the canonical dense-regime rows). Both paths
+#: are exact small-integer sums, so the threshold is a performance
+#: knob, never a semantics knob.
+DENSE_ROW_DENSITY = 0.05
 
-#: Every delivery mode the policy layer accepts (availability is a
-#: separate question — see :func:`require_delivery_mode`).
-ALL_DELIVERY_MODES = DELIVERY_MODES + COMPILED_DELIVERY_MODES
+#: Estimated bytes per COO output entry of the sparse window product
+#: (the product's value plus the coordinate arrays scipy materializes).
+#: Used by the auto router's pre-emptive output-size estimate.
+SPARSE_COO_ENTRY_BYTES = 32
 
-_probe_cache: dict[str, bool] = {}
-_numba_kernel = None
+#: Bytes per dense (listener, step) cell of the packed dense kernel at
+#: peak (float64 right-hand side, output, and unpacked counts).
+DENSE_WINDOW_CELL_BYTES = 24
+
+#: The auto router pre-empts the sparse product only when its
+#: estimated COO output would outweigh the packed dense cells by this
+#: factor. Memory parity alone (factor 1) is the wrong flip point:
+#: the sparse product's *time* scales with the transmitters' degree
+#: sum while the dense kernel's scales with the full adjacency, so in
+#: the band just past parity sparse is still several times faster at
+#: comparable memory. At 8x the projected COO output is a genuine
+#: blow-up — the regime the streaming cost model cannot absorb (p ~
+#: 0.5 G(n, p): few transmitters, ~n/2 neighbors each) — and the
+#: measured time gap has closed (calibrated against the
+#: ``bench_p3_engine`` dense-block floor on mid-density graphs and
+#: the ``tests/test_dense_routing.py`` budget regression on dense
+#: ones). Routing is exact either way; this trades only speed for
+#: bounded memory.
+SPARSE_PREEMPT_FACTOR = 8.0
+
+#: Blocks at most this wide skip the scipy sparse product and execute
+#: on the index-gather kernel (:meth:`DeliveryKernels._gather_coo`):
+#: for narrow windows — the width-1/width-2 joint windows the
+#: multiplexed ICP path emits by the thousand — the sparse product's
+#: cost is pure constructor overhead (csr/coo allocation and index-type
+#: checks dwarf the actual flops), while the gather kernel is a handful
+#: of numpy calls proportional to the transmitters' degree sum. Exact
+#: integer sums either way; a routing knob, never a semantics knob.
+GATHER_WINDOW_WIDTH = 32
+
 _pipeline_active = True
-
-
-def probe_numba() -> bool:
-    """Whether the numba JIT backend is importable (cached)."""
-    if "numba" not in _probe_cache:
-        try:  # pragma: no cover - depends on the installed environment
-            import numba  # noqa: F401
-
-            _probe_cache["numba"] = True
-        except Exception:
-            _probe_cache["numba"] = False
-    return _probe_cache["numba"]
-
-
-def probe_cupy() -> bool:
-    """Whether the cupy GPU backend is importable *and has a device*."""
-    if "cupy" not in _probe_cache:
-        try:  # pragma: no cover - depends on the installed environment
-            import cupy
-
-            cupy.cuda.runtime.getDeviceCount()
-            _probe_cache["cupy"] = True
-        except Exception:
-            _probe_cache["cupy"] = False
-    return _probe_cache["cupy"]
-
-
-_PROBES = {"numba": probe_numba, "cupy": probe_cupy}
 
 
 def pipeline_enabled() -> bool:
@@ -123,86 +114,38 @@ def pipeline_disabled():
 
 
 def available_delivery_modes() -> tuple[str, ...]:
-    """The delivery modes this process can actually execute.
-
-    Always the three numpy modes (``"auto"``, ``"sparse"``,
-    ``"dense"``); the compiled modes appear exactly when their
-    dependency probes as importable.
-    """
-    return DELIVERY_MODES + tuple(
-        mode for mode in COMPILED_DELIVERY_MODES if _PROBES[mode]()
-    )
+    """The delivery modes this process can execute: ``"auto"``,
+    ``"sparse"`` and ``"dense"`` (:data:`~repro.radio.network
+    .DELIVERY_MODES`)."""
+    return DELIVERY_MODES
 
 
 def require_delivery_mode(mode: str) -> None:
-    """Refuse unknown modes and absent compiled backends, uniformly.
-
-    An explicit request for ``"numba"``/``"cupy"`` without the
-    dependency is an error naming the installed alternatives — never a
-    silent fallback. Only ``delivery="auto"`` is allowed to degrade
-    (that is what auto *means*).
-    """
-    if mode not in ALL_DELIVERY_MODES:
+    """Refuse an unknown delivery mode, naming it and the accepted
+    values — the one check the policy, the CLI, the runner and the
+    network's window entry points share."""
+    if mode not in DELIVERY_MODES:
         raise ProtocolError(
             f"unknown delivery mode: {mode!r} "
-            f"(expected one of {ALL_DELIVERY_MODES})"
-        )
-    if mode in COMPILED_DELIVERY_MODES and not _PROBES[mode]():
-        raise ProtocolError(
-            f"delivery mode {mode!r} requires the {mode!r} package, "
-            f"which is not installed (or has no usable device); "
-            f"installed delivery modes: {available_delivery_modes()}"
+            f"(expected one of {DELIVERY_MODES})"
         )
 
 
-def compiled_kernel_name(mode: str) -> str:
-    """The chunk-kernel family a resolved ``delivery`` mode will use
-    for its (popcount-)sparse rows — recorded in ``RunReport``
-    provenance so a run names the code that produced it."""
-    if mode == "numba" or (mode == "auto" and probe_numba()):
-        return "csr-numba"
-    if mode == "cupy":
-        return "spmm-cupy"
-    return "numpy"
+def _row_popcounts(block: np.ndarray) -> np.ndarray:
+    """Per-row transmitter counts of a boolean block.
 
-
-def _get_numba_kernel():  # pragma: no cover - needs numba installed
-    """Build (once) the ``@njit`` CSR window kernel.
-
-    Row-parallel over window steps: each step walks its transmitters'
-    CSR neighbor lists, bumping an int64 collision counter and a
-    last-writer sender slot per listener. A listener with exactly one
-    transmitting neighbor that is not itself transmitting hears that
-    sender. Integer arithmetic throughout — no floats to round, so the
-    result is bit-identical to the numpy kernels by construction.
+    One ``count_nonzero`` per row: on rows of thousands of nodes the
+    whole-row popcount is several times faster than the ``axis=1``
+    reduction, which wins only on short rows, where the per-row call
+    overhead dominates.
     """
-    global _numba_kernel
-    if _numba_kernel is None:
-        import numba
-
-        @numba.njit(cache=True, parallel=True)
-        def _csr_window(masks, indptr, indices, hear_from):
-            w, n = masks.shape
-            receptions = 0
-            for t in numba.prange(w):
-                counts = np.zeros(n, dtype=np.int64)
-                sender = np.zeros(n, dtype=np.int64)
-                for u in range(n):
-                    if masks[t, u]:
-                        for j in range(indptr[u], indptr[u + 1]):
-                            v = indices[j]
-                            counts[v] += 1
-                            sender[v] = u
-                heard = 0
-                for v in range(n):
-                    if counts[v] == 1 and not masks[t, v]:
-                        hear_from[t, v] = sender[v]
-                        heard += 1
-                receptions += heard
-            return receptions
-
-        _numba_kernel = _csr_window
-    return _numba_kernel
+    if block.shape[1] < 1024:
+        return np.count_nonzero(block, axis=1)
+    return np.fromiter(
+        (np.count_nonzero(row) for row in block),
+        dtype=np.int64,
+        count=block.shape[0],
+    )
 
 
 class DeliveryKernels:
@@ -217,13 +160,6 @@ class DeliveryKernels:
         :meth:`~repro.graphs.context.GraphContext.induced_csr`.
     n:
         Node count; ``indptr`` has ``n + 1`` entries.
-
-    All routing constants and kernel arithmetic mirror
-    :class:`~repro.radio.RadioNetwork` exactly (same popcount
-    thresholds, same output-size pre-emption, same packed-modulus dense
-    product), so executing a mask block here is bit-identical to
-    executing it there — the property the residual path's equivalence
-    tests pin.
     """
 
     def __init__(
@@ -232,10 +168,10 @@ class DeliveryKernels:
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr)
         self.indices = np.ascontiguousarray(indices)
-        # Satellite fix (ISSUE 7): degree extremes are *recomputed* from
-        # this CSR. Residual sub-graphs routed on a parent's cached
-        # extremes would mis-route (stale max_degree over-triggers the
-        # spmm pre-emption; a stale packing bound is unsound upward).
+        # Degree extremes are *recomputed* from this CSR. Residual
+        # sub-graphs routed on a parent's cached extremes would
+        # mis-route (stale max_degree over-triggers the spmm
+        # pre-emption; a stale packing bound is unsound upward).
         self.degrees = np.diff(self.indptr).astype(np.int64)
         self.max_degree = int(self.degrees.max()) if self.n else 0
         self.min_degree = int(self.degrees.min()) if self.n else 0
@@ -245,10 +181,10 @@ class DeliveryKernels:
         )
         self._adj: sp.csr_array | None = None
         self._adj_complex: sp.csr_array | None = None
-        self._cupy_adj = None
-        # Scratch for the packed-modulus dense COO kernel: the value
+        # Scratch for the packed-modulus dense kernel: the value
         # vector is a pure function of n, the rhs slab is reused
-        # across chunks (contents are fully rewritten every call).
+        # across equal-width blocks (contents are fully rewritten
+        # every call).
         self._packed_vals: np.ndarray | None = None
         self._dense_rhs: np.ndarray | None = None
 
@@ -262,193 +198,122 @@ class DeliveryKernels:
             )
         return self._adj
 
-    def _complex_matrix(self) -> sp.csr_array:
+    def _complex_matrix(self) -> sp.csr_array:  # pragma: no cover
+        # Only the complex fallbacks past the 2^53 packing bound use it.
         if self._adj_complex is None:
             self._adj_complex = self._matrix().astype(np.complex128)
         return self._adj_complex
 
     # -- routing ------------------------------------------------------
 
-    def dense_rows(self, masks: np.ndarray) -> np.ndarray:
-        """Rows the auto router sends dense — popcount density plus the
-        output-size pre-emption, both on *this* CSR's degrees (see
-        :meth:`~repro.radio.RadioNetwork.dense_window_rows` for the
-        full rationale; the arithmetic here is the same)."""
-        row_counts = np.count_nonzero(masks, axis=1)
-        dense = row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
+    @staticmethod
+    def _transmitters(
+        block: np.ndarray, cols: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The block's ``(tx_step, tx_node)`` transmitter pairs, in
+        ``np.nonzero`` order: row-major, columns ascending within a
+        row. ``cols`` maps a compact block's columns back to global
+        node ids. One flat scan plus a divmod — several times faster
+        than the two-array 2-D ``np.nonzero``."""
+        tx_step, tx_node = np.divmod(np.flatnonzero(block), block.shape[1])
+        if cols is not None:
+            tx_node = cols[tx_node]
+        return tx_step, tx_node
+
+    def _preempts(self, n_sparse: int, tx_node: np.ndarray) -> bool:
+        """The output-size pre-emption: whether the popcount-sparse
+        rows' transmitters ``tx_node`` have a degree sum whose
+        estimated COO output (:data:`SPARSE_COO_ENTRY_BYTES` per entry
+        — the sparse product's output scales with that degree sum, not
+        with ``w * n``) outweighs the dense kernel's
+        :data:`DENSE_WINDOW_CELL_BYTES` packed cells by
+        :data:`SPARSE_PREEMPT_FACTOR`.
+
+        Cheapest-first: the transmitter count brackets the degree sum
+        between ``count * min_degree`` and ``count * max_degree``, so
+        the exact degree gather only runs in the band between the two
+        bounds.
+        """
+        flip_entries = (
+            SPARSE_PREEMPT_FACTOR
+            * n_sparse
+            * self.n
+            * (DENSE_WINDOW_CELL_BYTES / SPARSE_COO_ENTRY_BYTES)
+        )
+        sparse_tx = tx_node.size
+        if sparse_tx * self.max_degree < flip_entries:
+            return False
+        if sparse_tx * self.min_degree >= flip_entries:
+            return True
+        return float(self.degrees[tx_node].sum()) >= flip_entries
+
+    def _route(
+        self,
+        block: np.ndarray,
+        row_counts: np.ndarray,
+        mode: str,
+        cols: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """Route one mask block: ``(dense_rows, sparse_tx)``.
+
+        ``dense_rows`` marks the rows the dense matmul executes;
+        ``sparse_tx`` holds the transmitter pairs of the remaining
+        rows, numbered within that sub-block, or ``None`` when every
+        row routes dense. ``block`` is the mask block (compact over
+        ``cols`` when given) and ``row_counts`` its per-row popcounts.
+
+        Under ``"auto"`` rows route on popcount density
+        (:data:`DENSE_ROW_DENSITY`) first, so a block whose rows are
+        all dense never materializes its transmitter list; the
+        popcount-sparse rows are then scanned once, and that one list
+        serves both the output-size pre-emption (:meth:`_preempts`,
+        which routes the whole block dense) and the sparse kernels.
+        """
+        w = block.shape[0]
+        if mode == "dense":
+            return np.ones(w, dtype=bool), None
+        if mode == "sparse":
+            dense = np.zeros(w, dtype=bool)
+        else:
+            dense = row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
+        if dense.all():
+            return dense, None
         sparse = ~dense
-        n_sparse = int(sparse.sum())
-        if n_sparse:
-            sparse_tx = int(row_counts[sparse].sum())
-            flip_entries = (
-                SPARSE_PREEMPT_FACTOR
-                * n_sparse
-                * self.n
-                * (DENSE_WINDOW_CELL_BYTES / SPARSE_COO_ENTRY_BYTES)
-            )
-            if sparse_tx * self.max_degree >= flip_entries:
-                if sparse_tx * self.min_degree >= flip_entries:
-                    degree_sum = float(flip_entries)
-                else:
-                    sub = (
-                        masks
-                        if n_sparse == masks.shape[0]
-                        else masks[sparse]
-                    )
-                    degree_sum = float(
-                        self.degrees[np.nonzero(sub)[1]].sum()
-                    )
-                if degree_sum >= flip_entries:
-                    dense = np.ones(masks.shape[0], dtype=bool)
+        tx = self._transmitters(
+            block[sparse] if dense.any() else block, cols
+        )
+        if mode == "auto" and self._preempts(int(sparse.sum()), tx[1]):
+            return np.ones(w, dtype=bool), None
+        return dense, tx
+
+    def dense_rows(self, masks: np.ndarray) -> np.ndarray:
+        """Rows of a full-width ``(w, n)`` mask block the ``"auto"``
+        router sends to the dense kernel (see :meth:`_route`)."""
+        dense, _ = self._route(masks, _row_popcounts(masks), "auto")
         return dense
 
-    # -- numpy kernels (mirrors of the RadioNetwork window kernels) ---
-
-    def _gather(self, masks: np.ndarray, hear_from: np.ndarray) -> int:
-        w = masks.shape[0]
-        tx_step, tx_node = np.nonzero(masks)
-        starts = self.indptr[tx_node].astype(np.int64)
-        lens = self.indptr[tx_node + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        if total == 0:
-            return 0
-        offsets = np.repeat(np.cumsum(lens) - lens - starts, lens)
-        neighbors = self.indices[
-            np.arange(total, dtype=np.int64) - offsets
-        ]
-        flat = np.repeat(tx_step, lens) * self.n + neighbors
-        counts = np.bincount(flat, minlength=w * self.n).reshape(
-            w, self.n
-        )
-        idsum1 = np.bincount(
-            flat,
-            weights=np.repeat(self._ids1[tx_node], lens),
-            minlength=w * self.n,
-        ).reshape(w, self.n)
-        clean = (counts == 1) & ~masks
-        hear_from[clean] = np.rint(idsum1[clean]).astype(np.int64) - 1
-        return int(clean.sum())
-
-    def _spmm(self, masks: np.ndarray, hear_from: np.ndarray) -> int:
-        w = masks.shape[0]
-        tx_step, tx_node = np.nonzero(masks)
-        if not tx_node.size:
-            return 0
-        data = np.empty(tx_node.size, dtype=np.complex128)
-        data.real = 1.0
-        data.imag = self._ids1[tx_node]
-        rhs = sp.csr_array(
-            (data, (tx_node, tx_step)), shape=(self.n, w)
-        )
-        out = (self._complex_matrix() @ rhs).tocoo()
-        node, step = out.coords
-        counts = out.data.real
-        clean = (counts == 1.0) & ~masks[step, node]
-        sender = np.rint(out.data.imag[clean]).astype(np.int64) - 1
-        hear_from[step[clean], node[clean]] = sender
-        return int(clean.sum())
-
-    def _dense(self, masks: np.ndarray, hear_from: np.ndarray) -> int:
-        masks_t = masks.T
-        if self.dense_pack_ok:
-            modulus = float(self.n + 1)
-            vals = 1.0 + self._ids1 * modulus
-            rhs = np.where(masks_t, vals[:, None], 0.0)
-            out = self._matrix() @ rhs
-            counts = np.remainder(out, modulus)
-            heard = (~masks_t) & (counts == 1.0)
-            node, step = np.nonzero(heard)
-            idsum1 = (out[node, step] - 1.0) / modulus
-        else:  # pragma: no cover - needs a graph beyond the 2^53 bound
-            rhs = np.where(
-                masks_t, (1.0 + 1j * self._ids1)[:, None], 0.0
-            )
-            out = self._complex_matrix() @ rhs
-            heard = (~masks_t) & (out.real == 1.0)
-            node, step = np.nonzero(heard)
-            idsum1 = out.imag[node, step]
-        hear_from[step, node] = np.rint(idsum1).astype(np.int64) - 1
-        return int(node.size)
-
-    def _sparse(self, masks: np.ndarray, hear_from: np.ndarray) -> int:
-        if masks.shape[0] <= GATHER_WINDOW_WIDTH:
-            return self._gather(masks, hear_from)
-        return self._spmm(masks, hear_from)
-
-    # -- COO kernels (the fused pipeline's reception form) ------------
+    # -- kernels ------------------------------------------------------
     #
-    # Same routing, same exact arithmetic as the slab kernels above,
-    # but clean receptions come back as ``(step, node, sender)`` int64
-    # triples instead of being scattered into a ``(w, n)`` hear slab —
-    # receptions are sparse, so the pipeline pass skips both the slab
-    # allocation and the consumer's full-width re-scan. Triple order is
-    # unspecified; the ``consume_coo`` folds are order-independent.
-    # The transmitter scan runs ONCE per block (``_transmitters``) and
-    # threads through routing and kernels — the slab path's layered
-    # ``any`` + popcount + per-kernel ``nonzero`` re-scans were a
-    # visible slice of fused wall time at n = 10^5.
+    # Each kernel returns clean receptions as ``(step, node, sender)``
+    # int64 triples. Triple order is unspecified; the slab scatter and
+    # the ``consume_coo`` folds are order-independent.
 
     @staticmethod
     def _empty_coo() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
 
-    def _transmitters(
-        self, masks: np.ndarray, cols: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The block's ``(tx_step, tx_node)`` transmitter pairs.
-
-        ``cols`` — sorted global column indices outside which the
-        caller guarantees every row is False (the fused pipeline's
-        active set; fault transforms only ever *clear* bits, so the
-        guarantee survives them) — restricts the scan to a compact
-        column gather when that is meaningfully narrower than the full
-        width. Pair order matches the full-width ``np.nonzero``:
-        row-major, columns ascending within a row.
-        """
-        if cols is not None and 2 * cols.size <= self.n:
-            tx_step, tx_local = np.nonzero(masks[:, cols])
-            return tx_step, cols[tx_local]
-        return np.nonzero(masks)
-
-    def _dense_rows_tx(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`dense_rows` recomputed from a transmitter list —
-        identical routing decisions, no re-scan of the mask block."""
-        row_counts = np.bincount(tx_step, minlength=w)
-        dense = row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
-        sparse = ~dense
-        n_sparse = int(sparse.sum())
-        if n_sparse:
-            sparse_tx = int(row_counts[sparse].sum())
-            flip_entries = (
-                SPARSE_PREEMPT_FACTOR
-                * n_sparse
-                * self.n
-                * (DENSE_WINDOW_CELL_BYTES / SPARSE_COO_ENTRY_BYTES)
-            )
-            if sparse_tx * self.max_degree >= flip_entries:
-                if sparse_tx * self.min_degree >= flip_entries:
-                    degree_sum = float(flip_entries)
-                else:
-                    nodes = (
-                        tx_node
-                        if n_sparse == w
-                        else tx_node[sparse[tx_step]]
-                    )
-                    degree_sum = float(self.degrees[nodes].sum())
-                if degree_sum >= flip_entries:
-                    dense = np.ones(w, dtype=bool)
-        return dense
-
     def _gather_coo(
         self,
         masks: np.ndarray,
         tx: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index-gather kernel for narrow blocks: every transmitter's
+        CSR neighbor list is gathered in one ragged vectorized slice,
+        and a (step, listener) key occurring exactly once is a clean
+        reception, found by sorting the flattened keys."""
         tx_step, tx_node = (
-            tx if tx is not None else np.nonzero(masks)
+            tx if tx is not None else self._transmitters(masks)
         )
         starts = self.indptr[tx_node].astype(np.int64)
         lens = self.indptr[tx_node + 1].astype(np.int64) - starts
@@ -460,8 +325,6 @@ class DeliveryKernels:
             np.arange(total, dtype=np.int64) - offsets
         ]
         flat = np.repeat(tx_step, lens) * self.n + neighbors
-        # Clean ⟺ the (step, listener) key occurs exactly once, found
-        # by sorting instead of the slab kernel's w*n bincount.
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
         boundary = np.empty(flat.size, dtype=bool)
@@ -481,9 +344,13 @@ class DeliveryKernels:
         masks: np.ndarray,
         tx: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse-product kernel: one product of the block's sparse
+        transmitter matrix against the adjacency yields every
+        (listener, step) pair's transmitter count and 1-based id sum
+        at once; a count of exactly one unpacks the sender."""
         w = masks.shape[0]
         tx_step, tx_node = (
-            tx if tx is not None else np.nonzero(masks)
+            tx if tx is not None else self._transmitters(masks)
         )
         if not tx_node.size:
             return self._empty_coo()
@@ -495,7 +362,7 @@ class DeliveryKernels:
             # with exact-integer float terms, and ``dense_pack_ok`` is
             # precisely the bound keeping the worst such sum below
             # 2^53 — same remainder/unpack arithmetic, same exactness
-            # argument, as ``_dense``.
+            # argument, as ``_dense_coo``.
             #
             # The product runs transposed — ``rhs_T @ A`` with the
             # adjacency's symmetry — because the transmitter pairs
@@ -523,6 +390,8 @@ class DeliveryKernels:
                 - 1
             )
         else:  # pragma: no cover - needs a graph beyond the 2^53 bound
+            # Complex form: count in the real part, 1-based id sum in
+            # the imaginary part — the same exactness, componentwise.
             data = np.empty(tx_node.size, dtype=np.complex128)
             data.real = 1.0
             data.imag = self._ids1[tx_node]
@@ -543,6 +412,15 @@ class DeliveryKernels:
     def _dense_coo(
         self, masks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense-matmul kernel: one sparse-times-dense product against
+        an ``(n, w)`` right-hand side, cost ``O(nnz(A) w)`` whatever the
+        density. When the packing bound allows (all realistic sizes), a
+        transmitting node ``v`` contributes the *real* value
+        ``1 + (v + 1) M`` with modulus ``M = n + 1``: a listener's sum
+        unpacks as ``count = sum mod M`` and ``idsum1 = sum div M`` —
+        one real product instead of a complex one. Every quantity is an
+        exact integer below 2^53 in float64, so accumulation order
+        cannot change a single value."""
         masks_t = masks.T
         if self.dense_pack_ok:
             modulus = float(self.n + 1)
@@ -554,6 +432,9 @@ class DeliveryKernels:
             if view is None or view.shape[1] != masks.shape[0]:
                 # Exact width: a sliced column view would lose C
                 # contiguity and the spmm would copy it right back.
+                # The old slab is released first so it never coexists
+                # with its replacement.
+                self._dense_rhs = None
                 view = np.empty(
                     (self.n, masks.shape[0]), dtype=np.float64
                 )
@@ -586,136 +467,7 @@ class DeliveryKernels:
             return self._gather_coo(masks, tx)
         return self._spmm_coo(masks, tx)
 
-    # -- compiled kernels ---------------------------------------------
-
-    def _numba(self, masks, hear_from):  # pragma: no cover - needs numba
-        kernel = _get_numba_kernel()
-        return int(
-            kernel(
-                np.ascontiguousarray(masks),
-                self.indptr,
-                self.indices,
-                hear_from,
-            )
-        )
-
-    def _numba_coo(self, masks):  # pragma: no cover - needs numba
-        """COO form of the compiled CSR walk: run the slab kernel,
-        then lift its (sparse) receptions out — still far cheaper than
-        the uncompiled products, and zero new compiled surface."""
-        hear_from = np.full(masks.shape, NO_SENDER, dtype=np.int64)
-        self._numba(masks, hear_from)
-        step, node = np.nonzero(hear_from != NO_SENDER)
-        return step, node, hear_from[step, node]
-
-    def _cupy(self, masks, hear_from):  # pragma: no cover - needs cupy
-        import cupy
-        import cupyx.scipy.sparse as cpsp
-
-        adj = self._cupy_adj
-        if adj is None:
-            adj = cpsp.csr_matrix(
-                sp.csr_matrix(self._complex_matrix())
-            )
-            self._cupy_adj = adj
-        w = masks.shape[0]
-        tx_step, tx_node = np.nonzero(masks)
-        if not tx_node.size:
-            return 0
-        data = np.empty(tx_node.size, dtype=np.complex128)
-        data.real = 1.0
-        data.imag = self._ids1[tx_node]
-        rhs = cpsp.csr_matrix(
-            sp.csr_matrix(
-                (data, (tx_node, tx_step)), shape=(self.n, w)
-            )
-        )
-        out = (adj @ rhs).tocoo()
-        node = cupy.asnumpy(out.row)
-        step = cupy.asnumpy(out.col)
-        vals = cupy.asnumpy(out.data)
-        clean = (vals.real == 1.0) & ~masks[step, node]
-        sender = np.rint(vals.imag[clean]).astype(np.int64) - 1
-        hear_from[step[clean], node[clean]] = sender
-        return int(clean.sum())
-
-    # -- the routed entry point ---------------------------------------
-
-    def execute(
-        self,
-        masks: np.ndarray,
-        hear_from: np.ndarray,
-        mode: str,
-        counters: dict[str, int] | None = None,
-    ) -> int:
-        """Execute one ``(w, n)`` mask block into ``hear_from``.
-
-        Same contract as
-        :meth:`~repro.radio.RadioNetwork._execute_window_rows`: write
-        clean receptions, return their count, no accounting. ``mode``
-        accepts every member of :data:`ALL_DELIVERY_MODES`; ``"auto"``
-        routes per row — dense rows to the packed matmul, sparse rows
-        to the compiled CSR kernel when numba is installed, the
-        gather/spmm pair otherwise. ``counters`` (when given) is
-        bumped per kernel leg with the number of rows it executed,
-        feeding ``RunReport`` delivery provenance.
-        """
-
-        def bump(name: str, rows: int) -> None:
-            if counters is not None:
-                counters[name] = counters.get(name, 0) + rows
-
-        w = masks.shape[0]
-        if not masks.any():
-            bump("skip-empty", w)
-            return 0
-        if mode == "dense":
-            bump("dense", w)
-            return self._dense(masks, hear_from)
-        if mode == "sparse":
-            bump(
-                "gather" if w <= GATHER_WINDOW_WIDTH else "spmm", w
-            )
-            return self._sparse(masks, hear_from)
-        if mode == "numba":  # pragma: no cover - needs numba
-            bump("csr-numba", w)
-            return self._numba(masks, hear_from)
-        if mode == "cupy":  # pragma: no cover - needs cupy
-            bump("spmm-cupy", w)
-            return self._cupy(masks, hear_from)
-        # auto: per-row density routing, compiled kernel for the
-        # sparse side when available.
-        dense_rows = self.dense_rows(masks)
-        if probe_numba():  # pragma: no cover - needs numba
-            sparse_exec = self._numba
-            sparse_name = "csr-numba"
-        else:
-            sparse_exec = self._sparse
-            sparse_name = None
-        if not dense_rows.any():
-            if sparse_name is None:
-                bump(
-                    "gather" if w <= GATHER_WINDOW_WIDTH else "spmm", w
-                )
-            else:  # pragma: no cover - needs numba
-                bump(sparse_name, w)
-            return sparse_exec(masks, hear_from)
-        if dense_rows.all():
-            bump("dense", w)
-            return self._dense(masks, hear_from)
-        receptions = 0
-        for rows, execute, name in (
-            (dense_rows, self._dense, "dense"),
-            (~dense_rows, sparse_exec, sparse_name or "sparse-mixed"),
-        ):
-            idx = np.nonzero(rows)[0]
-            sub = np.full(
-                (idx.size, self.n), NO_SENDER, dtype=np.int64
-            )
-            bump(name, idx.size)
-            receptions += execute(masks[idx], sub)
-            hear_from[idx] = sub
-        return receptions
+    # -- the routed entry points --------------------------------------
 
     def execute_coo(
         self,
@@ -726,18 +478,21 @@ class DeliveryKernels:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Execute one ``(w, n)`` mask block to a reception triple.
 
-        The pipeline pass's delivery stage: same per-row routing and
-        the same exact kernels as :meth:`execute`, returning clean
-        receptions as ``(step, node, sender)`` int64 arrays (arbitrary
-        order) instead of scattering a hear slab. ``mode`` ``"auto"``
-        routes per row (the compiled CSR walk serves the sparse side
-        when numba is installed); ``"sparse"`` and
-        ``"dense"`` force those kernels. ``cols`` (optional, sorted
-        global indices) promises every mask column outside it is
-        False, letting the single up-front transmitter scan
-        (:meth:`_transmitters`) run compact. Counter names carry a
-        ``coo-`` prefix so ``kernel_use`` provenance distinguishes the
-        fused tier from slab execution.
+        Returns clean receptions as ``(step, node, sender)`` int64
+        arrays (arbitrary order). ``mode`` ``"auto"`` routes per row
+        (:meth:`_route`): dense rows to the packed matmul, sparse rows
+        to the gather kernel (blocks at most
+        :data:`GATHER_WINDOW_WIDTH` rows) or the sparse product;
+        ``"sparse"`` and ``"dense"`` force those kernels. ``cols``
+        (optional, sorted global indices) promises every mask column
+        outside it is False (the fused pipeline's eligible set; fault
+        transforms only ever *clear* bits, so the promise survives
+        them), letting the popcount and transmitter scans run over a
+        compact column gather when that is meaningfully narrower than
+        the full width. ``counters`` (when given) is bumped per kernel
+        leg with the number of rows it executed (``coo-gather``,
+        ``coo-spmm``, ``coo-dense``, ``coo-sparse-mixed``,
+        ``skip-empty``), feeding ``RunReport`` delivery provenance.
         """
 
         def bump(name: str, rows: int) -> None:
@@ -745,80 +500,64 @@ class DeliveryKernels:
                 counters[name] = counters.get(name, 0) + rows
 
         w = masks.shape[0]
-        if w == 0:
-            return self._empty_coo()
-        tx = self._transmitters(masks, cols)
-        if not tx[0].size:
+        if cols is not None and 2 * cols.size > self.n:
+            cols = None
+        block = masks if cols is None else masks[:, cols]
+        row_counts = _row_popcounts(block)
+        if not row_counts.any():
             bump("skip-empty", w)
             return self._empty_coo()
-        if mode == "dense":
+        dense, tx = self._route(block, row_counts, mode, cols)
+        if tx is None:
             bump("coo-dense", w)
             return self._dense_coo(masks)
-        if mode == "sparse":
+        if not dense.any():
             bump(
                 "coo-gather" if w <= GATHER_WINDOW_WIDTH else "coo-spmm",
                 w,
             )
             return self._sparse_coo(masks, tx)
-        dense_rows = self._dense_rows_tx(w, tx[0], tx[1])
-        if probe_numba():  # pragma: no cover - needs numba
-            numba_sparse = True
-            sparse_name = "coo-csr-numba"
-        else:
-            numba_sparse = False
-            sparse_name = None
-        if not dense_rows.any():
-            if sparse_name is None:
-                bump(
-                    "coo-gather"
-                    if w <= GATHER_WINDOW_WIDTH
-                    else "coo-spmm",
-                    w,
-                )
-                return self._sparse_coo(masks, tx)
-            bump(sparse_name, w)  # pragma: no cover - needs numba
-            return self._numba_coo(masks)
-        if dense_rows.all():
-            bump("coo-dense", w)
-            return self._dense_coo(masks)
-        tx_step, tx_node = tx
-        parts = []
-        for rows, name in (
-            (dense_rows, "coo-dense"),
-            (~dense_rows, sparse_name or "coo-sparse-mixed"),
-        ):
-            idx = np.nonzero(rows)[0]
-            bump(name, idx.size)
-            if rows is dense_rows:
-                step, node, sender = self._dense_coo(masks[idx])
-            elif numba_sparse:  # pragma: no cover - needs numba
-                step, node, sender = self._numba_coo(masks[idx])
-            else:
-                # Re-key the precomputed transmitters onto the
-                # sub-block's row numbering instead of re-scanning.
-                sel = rows[tx_step]
-                renum = np.cumsum(rows) - 1
-                step, node, sender = self._sparse_coo(
-                    masks[idx],
-                    (renum[tx_step[sel]], tx_node[sel]),
-                )
-            parts.append((idx[step], node, sender))
+        dense_idx = np.flatnonzero(dense)
+        sparse_idx = np.flatnonzero(~dense)
+        bump("coo-dense", dense_idx.size)
+        bump("coo-sparse-mixed", sparse_idx.size)
+        d_step, d_node, d_sender = self._dense_coo(masks[dense_idx])
+        s_step, s_node, s_sender = self._sparse_coo(masks[sparse_idx], tx)
         return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
+            np.concatenate([dense_idx[d_step], sparse_idx[s_step]]),
+            np.concatenate([d_node, s_node]),
+            np.concatenate([d_sender, s_sender]),
         )
+
+    def execute(
+        self,
+        masks: np.ndarray,
+        hear_from: np.ndarray,
+        mode: str,
+        counters: dict[str, int] | None = None,
+    ) -> int:
+        """Execute one ``(w, n)`` mask block into ``hear_from``.
+
+        :meth:`execute_coo` plus a scatter: writes each clean reception
+        into its ``hear_from[step, node]`` cell (other cells are left
+        untouched — callers pass a :data:`~repro.radio.network
+        .NO_SENDER`-filled slab) and returns the reception count. No
+        step accounting.
+        """
+        step, node, sender = self.execute_coo(masks, mode, counters)
+        hear_from[step, node] = sender
+        return int(step.size)
 
 
 __all__ = [
-    "ALL_DELIVERY_MODES",
-    "COMPILED_DELIVERY_MODES",
+    "DENSE_ROW_DENSITY",
+    "DENSE_WINDOW_CELL_BYTES",
     "DeliveryKernels",
+    "GATHER_WINDOW_WIDTH",
+    "SPARSE_COO_ENTRY_BYTES",
+    "SPARSE_PREEMPT_FACTOR",
     "available_delivery_modes",
-    "compiled_kernel_name",
     "pipeline_disabled",
     "pipeline_enabled",
-    "probe_cupy",
-    "probe_numba",
     "require_delivery_mode",
 ]

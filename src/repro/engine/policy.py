@@ -38,11 +38,7 @@ import numpy as np
 from ..faults.schedule import FaultSchedule, default_faults, validate_faults
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
-from .kernels import (
-    ALL_DELIVERY_MODES,
-    available_delivery_modes,
-    require_delivery_mode,
-)
+from .kernels import available_delivery_modes, require_delivery_mode
 from .residual import RESTRICT_MODES, validate_restrict
 from .streaming import memory_budget, resolve_chunk_steps
 
@@ -82,15 +78,13 @@ def validate_engine(
 def validate_delivery(delivery: str) -> str:
     """Check a window delivery mode, naming the accepted values.
 
-    Beyond the always-available numpy strategies
-    (:data:`~repro.radio.network.DELIVERY_MODES`), the compiled
-    backends ``"numba"`` and ``"cupy"`` are accepted exactly when their
-    optional dependency is importable and usable — an explicit request
-    for an absent backend refuses by name, listing the installed
-    alternatives (:func:`~repro.engine.kernels.available_delivery_modes`);
-    ``"auto"`` is the only mode that silently adapts.
+    The accepted modes are :data:`~repro.radio.network.DELIVERY_MODES`:
+    ``"auto"`` routes per row, ``"sparse"`` and ``"dense"`` force one
+    kernel family. Anything else — the retired ``"numba"``, ``"cupy"``
+    and ``"pipeline"`` among them — is refused by name.
     """
-    return require_delivery_mode(delivery)
+    require_delivery_mode(delivery)
+    return delivery
 
 
 def validate_chunk_steps(chunk_steps: int | None) -> int | None:
@@ -430,7 +424,6 @@ def legacy_policy(
 
 
 __all__ = [
-    "ALL_DELIVERY_MODES",
     "ENGINE_MODES",
     "ExecutionPolicy",
     "RESTRICT_MODES",

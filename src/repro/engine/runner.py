@@ -123,9 +123,8 @@ class WindowedRunner:
         mem_budget: int | None = None,
         restrict: str = "auto",
     ) -> None:
-        # All delivery modes (including the compiled numba/cupy
-        # backends) validate through the kernel registry: unknown names
-        # and absent dependencies are refused here, before any run.
+        # Unknown delivery modes are refused here, by name, before
+        # any run.
         require_delivery_mode(delivery)
         validate_restrict(restrict)
         # Validate the streaming knobs eagerly (resolution also consults
@@ -446,14 +445,13 @@ class WindowedRunner:
             # Per-section column analysis: the nonzero column factors
             # are the section's eligible nodes (the coin draw's width);
             # an all-ones eligible factor lets the mask stage threshold
-            # the whole block at once; and a compact eligible list lets
-            # the delivery stage scan transmitters compact (faults only
+            # the whole block at once; and the eligible list lets the
+            # delivery stage scan transmitters compact (faults only
             # clear bits, so the promise survives the transform).
             eligible = np.flatnonzero(col_probs)
             col_thresh = col_probs[eligible]
             if bool((col_thresh == 1.0).all()):
                 col_thresh = None
-            cols = eligible if 2 * eligible.size <= network.n else None
             timing["plan"] += perf_counter() - t0
             done = 0
             while done < section.width:
@@ -474,7 +472,7 @@ class WindowedRunner:
                 timing["faults"] += t2 - t1
                 steps, nodes, senders = delivery.execute_coo(
                     masks, self.delivery, counters=network.kernel_use,
-                    cols=cols,
+                    cols=eligible,
                 )
                 receptions = int(steps.size)
                 if fault_state is not None and receptions:

@@ -68,8 +68,8 @@ from .segments import (
 #: degree sum rather than with ``k * n``; under ``delivery="auto"``
 #: the router pre-empts that blow-up per chunk (popcount-sparse rows
 #: whose estimated COO bytes outweigh the packed dense cells route
-#: dense — see :meth:`repro.radio.network.RadioNetwork
-#: .dense_window_rows`), so only a forced ``delivery="sparse"`` can
+#: dense — see :meth:`repro.engine.kernels.DeliveryKernels._route`),
+#: so only a forced ``delivery="sparse"`` can
 #: still exceed the model on very dense graphs.
 #: The fused pipeline pass (:mod:`repro.engine.kernels`) stays *under*
 #: this model — it drops the int64 hear slab entirely (receptions come

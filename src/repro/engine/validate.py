@@ -27,8 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..radio.errors import ProtocolError
-from ..radio.network import GATHER_WINDOW_WIDTH, NO_SENDER, RadioNetwork
+from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.trace import CheapTrace
+from .kernels import GATHER_WINDOW_WIDTH
 from .runner import WindowedRunner
 
 
@@ -119,9 +120,7 @@ class ValidatingRunner(WindowedRunner):
             # windows the multiplexed paths emit would never
             # cross-check it. (Wider windows already executed it as
             # their "sparse" leg.)
-            spmm = np.full(
-                masks.shape, -1, dtype=np.int64
-            )  # NO_SENDER fill, kernels only write heard cells
+            effective, deaf = masks, None
             if (
                 self.shadow_sparse._fault_state is not None
                 and masks.shape[0] > 0
@@ -132,10 +131,12 @@ class ValidatingRunner(WindowedRunner):
                 # hear transform by hand — checking the kernel under
                 # exactly the channel the faulted run saw.
                 effective, deaf = self.shadow_sparse._fault_window
-                self.shadow_sparse._deliver_window_spmm(effective, spmm)
-                spmm[deaf] = -1
-            else:
-                self.shadow_sparse._deliver_window_spmm(masks, spmm)
+            kernels = self.shadow_sparse._delivery_kernels()
+            step, node, sender = kernels._spmm_coo(effective)
+            spmm = np.full(masks.shape, NO_SENDER, dtype=np.int64)
+            spmm[step, node] = sender
+            if deaf is not None:
+                spmm[deaf] = NO_SENDER
             alternates.append(("sparse product", spmm))
         for name, other in alternates:
             if primary.shape != other.shape:

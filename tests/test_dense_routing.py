@@ -19,13 +19,13 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import measure_peak
 from repro.api import EEDConfig, ExecutionPolicy, run
-from repro.radio.network import (
+from repro.engine.kernels import (
     DENSE_ROW_DENSITY,
     DENSE_WINDOW_CELL_BYTES,
     SPARSE_COO_ENTRY_BYTES,
     SPARSE_PREEMPT_FACTOR,
-    RadioNetwork,
 )
+from repro.radio.network import RadioNetwork
 
 N_DENSE = 1000
 
@@ -80,6 +80,30 @@ class TestOutputSizeRouting:
         # sparse is still the faster path there, so no flip.
         masks = _sparse_popcount_masks(N_DENSE, 16, 2, seed=4)
         assert not dense_net.dense_window_rows(masks).any()
+
+    @pytest.mark.parametrize("transmitters", [11, 13])
+    def test_ambiguous_band_uses_exact_degree_sum(
+        self, dense_net, transmitters
+    ):
+        # Between the degree-extreme bounds (count * min_degree below
+        # the flip point, count * max_degree above it) only the exact
+        # degree sum decides — 11/row stays sparse, 13/row flips.
+        rows = 16
+        masks = _sparse_popcount_masks(N_DENSE, rows, transmitters, 0)
+        flip = (
+            SPARSE_PREEMPT_FACTOR
+            * rows
+            * N_DENSE
+            * DENSE_WINDOW_CELL_BYTES
+            / SPARSE_COO_ENTRY_BYTES
+        )
+        count = rows * transmitters
+        degrees = dense_net.degrees
+        assert count * degrees.min() < flip <= count * degrees.max()
+        degree_sum = float((masks @ degrees).sum())
+        routed = dense_net.dense_window_rows(masks)
+        assert routed.all() == (degree_sum >= flip)
+        assert routed.all() == (transmitters == 13)
 
     def test_routing_never_changes_bits(self, dense_net):
         masks = _sparse_popcount_masks(N_DENSE, 24, 16, seed=3)

@@ -8,15 +8,17 @@ Three surfaces, every one pinned against an unfused twin:
   (:meth:`~repro.faults.state.FaultState.deaf_at`) against the
   mask-materializing window forms, including realized counters;
 * the COO delivery kernels
-  (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`) against
-  the slab kernels on every routing regime;
+  (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`) and
+  their slab scatter against a brute-force dense reference on every
+  routing regime;
 * end-to-end: pipeline runs (the ``delivery="auto"`` fused pass and
   restricted COO folds) bit-identical to the unfused PR 7 paths for
   Decay, EED, and full Radio MIS — across arbitrary ``chunk_steps``
   splits, restriction modes, and fault schedules whose jam windows
   straddle chunk and section boundaries — plus the refusal of unknown
-  delivery modes (the retired ``"pipeline"`` mode among them) and the
-  per-run reset of the provenance counters.
+  delivery modes (the retired ``"pipeline"``, ``"numba"`` and
+  ``"cupy"`` modes among them) and the per-run reset of the provenance
+  counters.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import repro.api as api
 from repro.api import DecayConfig, EEDConfig
 from repro.core import MISConfig, compute_mis, run_decay
 from repro.core.effective_degree import estimate_effective_degree
-from repro.engine import kernels
 from repro.engine.kernels import (
+    DENSE_ROW_DENSITY,
     DeliveryKernels,
     pipeline_disabled,
     pipeline_enabled,
@@ -39,8 +41,9 @@ from repro.engine.kernels import (
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio.errors import ProtocolError
-from repro.radio.network import NO_SENDER, RadioNetwork
+from repro.radio.network import DELIVERY_MODES, NO_SENDER, RadioNetwork
 from repro.radio.trace import CheapTrace
+from test_residual import _reference_delivery
 
 
 def _udg(n: int, seed: int) -> nx.Graph:
@@ -129,8 +132,20 @@ class TestFusedFaultTransform:
 
 
 # ---------------------------------------------------------------------------
-# COO delivery kernels against the slab kernels
+# COO delivery kernels and their slab scatter against the reference
 # ---------------------------------------------------------------------------
+
+
+def _assert_coo_is_reference(masks, adj, coo, counters):
+    """A COO reception triple rebuilds exactly the brute-force hear
+    matrix, and the counters account every row once."""
+    step, node, sender = coo
+    rebuilt = np.full(masks.shape, NO_SENDER, dtype=np.int64)
+    rebuilt[step, node] = sender
+    want, want_rx = _reference_delivery(adj, masks)
+    assert (rebuilt == want).all()
+    assert step.size == want_rx
+    assert sum(counters.values()) == masks.shape[0]
 
 
 class TestCooKernels:
@@ -145,6 +160,8 @@ class TestCooKernels:
         ],
     )
     def test_coo_matches_slab(self, mode, family, width, density):
+        """The COO triple and its slab scatter both equal the
+        brute-force reference, on every routing regime."""
         n = 120
         if family == "udg":
             g = _udg(n, 13)
@@ -152,20 +169,63 @@ class TestCooKernels:
             g = nx.gnp_random_graph(n, 0.4, seed=13)
         net = RadioNetwork(g)
         kern = DeliveryKernels(net._adj.indptr, net._adj.indices, n)
+        adj = net._adj.toarray().astype(np.int64)
         rng = np.random.default_rng(width)
         masks = rng.random((width, n)) < density
 
+        coo_counters: dict[str, int] = {}
+        coo = kern.execute_coo(masks, mode, coo_counters)
+        _assert_coo_is_reference(masks, adj, coo, coo_counters)
+
         slab = np.full((width, n), NO_SENDER, dtype=np.int64)
         slab_counters: dict[str, int] = {}
-        kern.execute(masks, slab, mode, slab_counters)
+        rx = kern.execute(masks, slab, mode, slab_counters)
+        assert (slab == _reference_delivery(adj, masks)[0]).all()
+        assert rx == coo[0].size
+        assert slab_counters == coo_counters
 
-        coo_counters: dict[str, int] = {}
-        step, node, sender = kern.execute_coo(masks, mode, coo_counters)
+    def test_all_dense_auto_block_runs_only_dense(self):
+        """Popcount-first routing: a block whose rows are all dense
+        bumps only ``coo-dense`` — whether it arrives full-width or as
+        a compact ``cols`` block — and equals the reference."""
+        n = 120
+        g = _udg(n, 13)
+        net = RadioNetwork(g)
+        kern = DeliveryKernels(net._adj.indptr, net._adj.indices, n)
+        adj = net._adj.toarray().astype(np.int64)
+        rng = np.random.default_rng(2)
+        cols = np.arange(0, n, 3, dtype=np.int64)  # compact: 40 of 120
+        masks = np.zeros((7, n), dtype=bool)
+        masks[:, cols] = rng.random((7, cols.size)) < 0.5
+        assert (masks.sum(axis=1) >= DENSE_ROW_DENSITY * n).all()
+        for block_cols in (None, cols):
+            counters: dict[str, int] = {}
+            coo = kern.execute_coo(masks, "auto", counters, cols=block_cols)
+            assert counters == {"coo-dense": 7}
+            _assert_coo_is_reference(masks, adj, coo, counters)
 
-        rebuilt = np.full((width, n), NO_SENDER, dtype=np.int64)
-        rebuilt[step, node] = sender
-        assert (rebuilt == slab).all()
-        assert sum(coo_counters.values()) == masks.shape[0]
+    @pytest.mark.parametrize("width", [3, 40])
+    def test_compact_cols_block_matches_reference(self, width):
+        """A compact ``cols`` block — sparse rows, mixed rows, and an
+        all-quiet row — routes and delivers exactly as full width."""
+        n = 120
+        g = _udg(n, 13)
+        net = RadioNetwork(g)
+        kern = DeliveryKernels(net._adj.indptr, net._adj.indices, n)
+        adj = net._adj.toarray().astype(np.int64)
+        rng = np.random.default_rng(width)
+        cols = np.sort(rng.choice(n, size=50, replace=False))
+        density = np.where(np.arange(width) % 2 == 0, 0.02, 0.6)
+        masks = np.zeros((width, n), dtype=bool)
+        masks[:, cols] = rng.random((width, cols.size)) < density[:, None]
+        masks[0] = False
+        for mode in DELIVERY_MODES:
+            full_counters: dict[str, int] = {}
+            full = kern.execute_coo(masks, mode, full_counters)
+            counters: dict[str, int] = {}
+            coo = kern.execute_coo(masks, mode, counters, cols=cols)
+            assert counters == full_counters
+            _assert_coo_is_reference(masks, adj, coo, counters)
 
     def test_coo_triples_are_int64_and_clean(self):
         g = _udg(90, 5)
@@ -185,13 +245,16 @@ class TestCooKernels:
 
 
 class TestPipelineMode:
-    @pytest.mark.parametrize("mode", ["pipeline", "fused", "quantum"])
+    @pytest.mark.parametrize(
+        "mode", ["pipeline", "fused", "quantum", "numba", "cupy"]
+    )
     def test_unknown_mode_refused(self, mode):
         """Only the registry's modes are accepted; the fused pass is an
-        ``"auto"`` behavior, so the retired ``"pipeline"`` mode is
+        ``"auto"`` behavior, so the retired ``"pipeline"`` mode — like
+        the retired compiled ``"numba"`` and ``"cupy"`` backends — is
         refused by name like any other unknown mode, at the kernel
         registry and at the policy front door."""
-        assert mode not in kernels.ALL_DELIVERY_MODES
+        assert mode not in DELIVERY_MODES
         with pytest.raises(ProtocolError) as err:
             require_delivery_mode(mode)
         assert repr(mode) in str(err.value)

@@ -1,4 +1,4 @@
-"""Residual delivery + compiled chunk kernels (ISSUE 7).
+"""Residual delivery + the chunk delivery kernels (ISSUE 7).
 
 Four layers, each pinned independently:
 
@@ -11,10 +11,9 @@ Four layers, each pinned independently:
   degree-dependent routing state is recomputed from the CSR handed in
   (the satellite-2 regression: residual sub-graphs must not inherit a
   parent's degree extremes).
-* **Mode registry** — ``available_delivery_modes`` reports what this
-  process can run; explicit requests for absent compiled backends are
-  refused with the uniform :class:`ProtocolError` naming the installed
-  alternatives (silent fallback is reserved for ``"auto"``).
+* **Mode registry** — ``available_delivery_modes`` reports the three
+  delivery modes; anything else is refused with the uniform
+  :class:`ProtocolError` naming the accepted values.
 * **Restricted execution** (:mod:`repro.engine.residual` + runner) —
   member-set closure, context reuse, and full bit-identity (result,
   steps, per-phase trace totals, final rng state) of
@@ -38,13 +37,9 @@ from repro.core import (
     run_decay_reference,
 )
 from repro.engine.kernels import (
-    ALL_DELIVERY_MODES,
-    COMPILED_DELIVERY_MODES,
+    GATHER_WINDOW_WIDTH,
     DeliveryKernels,
     available_delivery_modes,
-    compiled_kernel_name,
-    probe_cupy,
-    probe_numba,
     require_delivery_mode,
 )
 from repro.engine.pcg import CoinField, member_positions, scatter_rows
@@ -58,12 +53,7 @@ from repro.engine.runner import run_schedule
 from repro.engine.segments import PlanSection, StreamedWindow
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
-from repro.radio.network import (
-    DELIVERY_MODES,
-    GATHER_WINDOW_WIDTH,
-    NO_SENDER,
-    TransmitPlan,
-)
+from repro.radio.network import DELIVERY_MODES, NO_SENDER, TransmitPlan
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -231,58 +221,23 @@ class TestDeliveryKernels:
 
 
 # ---------------------------------------------------------------------------
-# Mode registry: availability, refusals, provenance names
+# Mode registry: availability, refusals
 # ---------------------------------------------------------------------------
 
 
 class TestModeRegistry:
     def test_available_modes_always_include_numpy_modes(self):
-        avail = available_delivery_modes()
-        for mode in DELIVERY_MODES:
-            assert mode in avail
-        for mode in COMPILED_DELIVERY_MODES:
-            assert mode in ALL_DELIVERY_MODES
-            probe = {"numba": probe_numba, "cupy": probe_cupy}[mode]
-            assert (mode in avail) == probe()
+        assert available_delivery_modes() == DELIVERY_MODES
 
     def test_unknown_mode_refused_with_full_inventory(self):
         with pytest.raises(ProtocolError) as err:
             require_delivery_mode("quantum")
         assert "unknown delivery mode" in str(err.value)
-        assert str(ALL_DELIVERY_MODES) in str(err.value)
+        assert str(DELIVERY_MODES) in str(err.value)
 
     def test_installed_modes_accepted(self):
         for mode in available_delivery_modes():
             require_delivery_mode(mode)  # must not raise
-
-    @pytest.mark.skipif(
-        probe_numba(), reason="numba installed: refusal cannot fire"
-    )
-    def test_absent_numba_refused_by_name(self):
-        with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("numba")
-        msg = str(err.value)
-        assert "'numba'" in msg and "not installed" in msg
-        assert str(available_delivery_modes()) in msg
-        # The policy front door refuses identically — no silent
-        # fallback for an explicit request.
-        with pytest.raises(ProtocolError, match="numba"):
-            ExecutionPolicy(delivery="numba")
-
-    @pytest.mark.skipif(
-        probe_cupy(), reason="cupy usable: refusal cannot fire"
-    )
-    def test_absent_cupy_refused_by_name(self):
-        with pytest.raises(ProtocolError, match="cupy"):
-            ExecutionPolicy(delivery="cupy")
-
-    def test_compiled_kernel_names(self):
-        assert compiled_kernel_name("sparse") == "numpy"
-        assert compiled_kernel_name("dense") == "numpy"
-        assert compiled_kernel_name("numba") == "csr-numba"
-        assert compiled_kernel_name("cupy") == "spmm-cupy"
-        expected_auto = "csr-numba" if probe_numba() else "numpy"
-        assert compiled_kernel_name("auto") == expected_auto
 
     def test_restrict_modes_validated(self):
         for mode in RESTRICT_MODES:

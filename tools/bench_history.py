@@ -11,6 +11,12 @@ one screen how each protocol's speedups and footprints moved across
 the PR sequence, and CI can refuse a PR whose benchmark record went
 missing or stopped passing its own floors.
 
+A ratio whose record says its leg never ran — a sibling
+``<prefix>_available: false`` beside ``<prefix>_speedup`` (PR 7's
+``numba_speedup`` was timed with numba absent, on the NumPy kernels)
+— is not a measurement: its row carries ``value: null`` and prints as
+``not run``.
+
 Two modes::
 
     PYTHONPATH=src python tools/bench_history.py            # the table
@@ -69,8 +75,10 @@ def extract_rows(path: pathlib.Path) -> list[dict[str, Any]]:
     One row per ratio or peak leaf: ``pr`` (file stem), ``protocol``
     (the dotted path *above* the leaf key — which sub-benchmark the
     fact belongs to), ``kind`` (``ratio``/``peak``), ``metric`` (the
-    leaf key), ``value``, and ``floor`` (the sibling ``*floor`` leaf
-    of a ratio, when the record carries one).
+    leaf key), ``value`` (``None`` for a ratio whose sibling
+    ``<prefix>_available`` leaf is ``false``: that leg never ran), and
+    ``floor`` (the sibling ``*floor`` leaf of a ratio, when the record
+    carries one).
     """
     record = json.loads(path.read_text())
     leaves = dict(_walk(record))
@@ -86,11 +94,17 @@ def extract_rows(path: pathlib.Path) -> list[dict[str, Any]]:
         else:
             continue
         floor = None
+        measured: float | None = float(value)
         if kind == "ratio":
             # The gating floor sits beside the ratio under a sibling
             # key: `floor` / `<prefix>_floor` for `speedup` /
             # `<prefix>_speedup` (same convention for ratios).
             prefix = re.sub(r"(speedup|ratio)$", "", key)
+            if prefix and (
+                leaves.get(leaf_path[:-1] + (f"{prefix}available",))
+                is False
+            ):
+                measured = None
             for sibling in (f"{prefix}floor", "floor"):
                 cand = leaves.get(leaf_path[:-1] + (sibling,))
                 if isinstance(cand, (int, float)):
@@ -102,7 +116,7 @@ def extract_rows(path: pathlib.Path) -> list[dict[str, Any]]:
                 "protocol": ".".join(leaf_path[:-1]) or "(top)",
                 "kind": kind,
                 "metric": key,
-                "value": float(value),
+                "value": measured,
                 "floor": floor,
             }
         )
@@ -124,7 +138,9 @@ def format_table(rows: list[dict[str, Any]]) -> str:
     headers = ("PR", "protocol", "metric", "value", "floor")
     cells = []
     for row in rows:
-        if row["kind"] == "peak":
+        if row["value"] is None:
+            value = "not run"
+        elif row["kind"] == "peak":
             value = f"{row['value'] / 2**20:,.1f} MiB"
         else:
             value = f"{row['value']:.2f}x"
@@ -164,7 +180,11 @@ def check(root: pathlib.Path = REPO_ROOT) -> list[str]:
             problems.append(f"{path.name}: unreadable ({err})")
             continue
         rows = extract_rows(path)
-        ratio_rows += sum(1 for row in rows if row["kind"] == "ratio")
+        ratio_rows += sum(
+            1
+            for row in rows
+            if row["kind"] == "ratio" and row["value"] is not None
+        )
         if record.get("passes_floors") is False:
             problems.append(
                 f"{path.name}: passes_floors is false — a benchmark "

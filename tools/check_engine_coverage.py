@@ -62,7 +62,7 @@ TEST_FILES = [
     # primary exerciser: equivalence, refusals, shims, resolution.
     "tests/test_api.py",
     "tests/test_dense_routing.py",
-    # Residual delivery + compiled kernels (contract-v2 coins, kernel
+    # Residual delivery + the delivery kernels (contract-v2 coins, mode
     # registry, restriction equivalence) — ISSUE 7's engine additions.
     "tests/test_residual.py",
     # The corpus layer (cell-grid generation, the mmap store, shm
@@ -78,9 +78,10 @@ TEST_FILES = [
 ]
 
 #: Comment marker excluding a statement (and its whole block) from the
-#: floors. Reserved for code that *cannot* execute in this container —
-#: optional compiled backends (numba/cupy) and hardware-dependent
-#: branches. CI's optional-deps leg runs those lines for real instead.
+#: floors. Reserved for branches the tier-1 suite cannot reach: OS-level
+#: failure and crash-path cleanup, and the delivery kernels'
+#: complex-valued fallback for graphs beyond the 2^53 dense packing
+#: bound.
 PRAGMA = "# pragma: no cover"
 
 _executed: dict[str, set[int]] = {}
