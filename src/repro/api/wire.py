@@ -58,6 +58,28 @@ __all__ = [
 #: the namespace cannot collide.
 TAG = "__repro__"
 
+#: Exact types that encode and decode to themselves. A container whose
+#: items all have one of these types is copied, not walked item by
+#: item. The test is on the exact type, so subclasses (``IntEnum``,
+#: ``str`` subclasses) and numpy scalars still take the recursive path
+#: and flatten exactly as it flattens them.
+_PLAIN = frozenset({type(None), bool, int, float, str})
+
+
+def _encode_items(items: Any) -> list:
+    """The encoded members of a list, tuple or set, in iteration order."""
+    if _PLAIN.issuperset(map(type, items)):
+        return list(items)
+    return [encode_value(v) for v in items]
+
+
+def _decode_items(items: list) -> list:
+    """The decoded members of an encoded container: always a fresh
+    list, never ``items`` itself."""
+    if _PLAIN.issuperset(map(type, items)):
+        return list(items)
+    return [decode_value(v) for v in items]
+
 
 def encode_value(value: Any) -> Any:
     """Encode ``value`` into a JSON-serializable structure.
@@ -89,14 +111,14 @@ def encode_value(value: Any) -> Any:
         # Deterministic member order (sorted by encoded repr) so equal
         # sets produce byte-identical documents — digests built over
         # wire documents rely on it.
-        items = [encode_value(v) for v in value]
+        items = _encode_items(value)
         items.sort(key=repr)
         return {
             TAG: "set" if isinstance(value, set) else "frozenset",
             "items": items,
         }
     if isinstance(value, tuple):
-        return {TAG: "tuple", "items": [encode_value(v) for v in value]}
+        return {TAG: "tuple", "items": _encode_items(value)}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
         if not cls.__module__.startswith("repro."):
@@ -113,7 +135,7 @@ def encode_value(value: Any) -> Any:
             },
         }
     if isinstance(value, list):
-        return [encode_value(v) for v in value]
+        return _encode_items(value)
     if isinstance(value, dict):
         if all(isinstance(k, str) for k in value) and TAG not in value:
             return {k: encode_value(v) for k, v in value.items()}
@@ -170,7 +192,7 @@ def _resolve_dataclass(spec: str) -> type:
 def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value` (see module doc for the contract)."""
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        return _decode_items(value)
     if not isinstance(value, dict):
         return value
     kind = value.get(TAG)
@@ -183,11 +205,11 @@ def decode_value(value: Any) -> Any:
     if kind == "bytes":
         return base64.b64decode(value["data"])
     if kind == "set":
-        return {decode_value(v) for v in value["items"]}
+        return set(_decode_items(value["items"]))
     if kind == "frozenset":
-        return frozenset(decode_value(v) for v in value["items"])
+        return frozenset(_decode_items(value["items"]))
     if kind == "tuple":
-        return tuple(decode_value(v) for v in value["items"])
+        return tuple(_decode_items(value["items"]))
     if kind == "dict":
         return {
             decode_value(k): decode_value(v) for k, v in value["items"]

@@ -34,6 +34,7 @@ put a million files in one directory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -154,9 +155,14 @@ class JobKey:
                 f"JobKey.trial must be >= 0, got {self.trial}"
             )
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
-        """sha256 over the canonical key document (the entry address)."""
+        """sha256 over the canonical key document (the entry address).
+
+        Computed once per key: the cache lives in the instance
+        ``__dict__``, not in a field, so ``asdict``, equality and
+        hashing see only the coordinates.
+        """
         doc = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(doc.encode()).hexdigest()
 
@@ -280,7 +286,9 @@ class ReportStore:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle)
+                # Not json.dump: it streams through the pure-Python
+                # encoder; json.dumps runs the C one, same text.
+                handle.write(json.dumps(document))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - crash path
@@ -289,14 +297,19 @@ class ReportStore:
         return path
 
     def digests(self) -> Iterator[str]:
-        """Every stored entry digest (no particular order)."""
+        """Every stored entry digest (no particular order).
+
+        Dotfiles are not entries: a crashed ``put`` can leave its
+        ``.tmp-*.json`` tempfile behind.
+        """
         if not self.directory.is_dir():
             return
         for shard in sorted(self.directory.iterdir()):
             if not shard.is_dir():
                 continue
             for entry in sorted(shard.glob("*.json")):
-                yield entry.stem
+                if not entry.name.startswith("."):
+                    yield entry.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.digests())

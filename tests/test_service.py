@@ -22,9 +22,13 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import enum
+import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ from repro.analysis.experiments import (
     summarize_reports,
 )
 from repro.api.report import SEMANTICS, RunReport
-from repro.api.wire import decode_value, encode_value
+from repro.api.wire import TAG, _resolve_dataclass, decode_value, encode_value
 from repro.corpus.generate import random_udg_csr
 from repro.corpus.store import CorpusStore
 from repro.engine.policy import ExecutionPolicy
@@ -147,6 +151,221 @@ class TestWire:
 
 
 # ---------------------------------------------------------------------------
+# reference codec: the recursive encode/decode as they were before the
+# plain-scalar fast path, kept verbatim (only renamed). The fast path
+# must produce exactly these values, because store documents and the
+# policy/config digests are built over them.
+
+
+def reference_encode_value(value):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        return {
+            TAG: "ndarray",
+            "dtype": data.dtype.str,
+            "shape": list(data.shape),
+            "data": base64.b64encode(data.tobytes()).decode("ascii"),
+        }
+    if isinstance(value, bytes):
+        return {TAG: "bytes", "data": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, (set, frozenset)):
+        items = [reference_encode_value(v) for v in value]
+        items.sort(key=repr)
+        return {
+            TAG: "set" if isinstance(value, set) else "frozenset",
+            "items": items,
+        }
+    if isinstance(value, tuple):
+        return {TAG: "tuple", "items": [reference_encode_value(v) for v in value]}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        cls = type(value)
+        if not cls.__module__.startswith("repro."):
+            raise ProtocolError(
+                f"cannot encode dataclass {cls.__module__}.{cls.__qualname__}"
+                f" for the wire: only repro.* dataclasses round-trip"
+            )
+        return {
+            TAG: "dataclass",
+            "class": f"{cls.__module__}:{cls.__qualname__}",
+            "fields": {
+                f.name: reference_encode_value(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+            },
+        }
+    if isinstance(value, list):
+        return [reference_encode_value(v) for v in value]
+    if isinstance(value, dict):
+        if all(isinstance(k, str) for k in value) and TAG not in value:
+            return {k: reference_encode_value(v) for k, v in value.items()}
+        return {
+            TAG: "dict",
+            "items": [
+                [reference_encode_value(k), reference_encode_value(v)]
+                for k, v in value.items()
+            ],
+        }
+    raise ProtocolError(
+        f"cannot encode {type(value).__name__!r} value for the wire "
+        f"(supported: JSON scalars, numpy scalars/arrays, bytes, "
+        f"set/frozenset/tuple/list/dict, repro.* dataclasses)"
+    )
+
+
+def reference_decode_value(value):
+    if isinstance(value, list):
+        return [reference_decode_value(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    kind = value.get(TAG)
+    if kind is None:
+        return {k: reference_decode_value(v) for k, v in value.items()}
+    if kind == "ndarray":
+        raw = base64.b64decode(value["data"])
+        arr = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
+        return arr.reshape(value["shape"]).copy()
+    if kind == "bytes":
+        return base64.b64decode(value["data"])
+    if kind == "set":
+        return {reference_decode_value(v) for v in value["items"]}
+    if kind == "frozenset":
+        return frozenset(reference_decode_value(v) for v in value["items"])
+    if kind == "tuple":
+        return tuple(reference_decode_value(v) for v in value["items"])
+    if kind == "dict":
+        return {
+            reference_decode_value(k): reference_decode_value(v)
+            for k, v in value["items"]
+        }
+    if kind == "dataclass":
+        cls = _resolve_dataclass(value["class"])
+        fields = {
+            name: reference_decode_value(v)
+            for name, v in value["fields"].items()
+        }
+        declared = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(fields) - set(declared))
+        if unknown:
+            raise ProtocolError(
+                f"wire document names unknown field(s) {unknown} of "
+                f"{cls.__qualname__}"
+            )
+        init_names = {name for name, f in declared.items() if f.init}
+        extra = {k: v for k, v in fields.items() if k not in init_names}
+        obj = cls(**{k: v for k, v in fields.items() if k in init_names})
+        for name, v in extra.items():
+            object.__setattr__(obj, name, v)
+        return obj
+    raise ProtocolError(f"unknown wire tag {kind!r}")
+
+
+def assert_identical(a, b):
+    """Same value *and* same exact type, all the way down (NaN equals
+    NaN here: the twin test compares two codecs, not two runs)."""
+    assert type(a) is type(b), (type(a), type(b))
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_identical(a[k], b[k])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, float) and math.isnan(a):
+        assert math.isnan(b)
+    else:
+        assert a == b
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+def _twin_cases():
+    graph = graphs.random_udg(40, 4.0, np.random.default_rng(5))
+    faults = FaultSchedule.sample(40, 64, seed=9, crash_rate=0.2)
+    return {
+        "decay-faulted": api.run(
+            "decay", graph, rng=np.random.default_rng(1),
+            policy=ExecutionPolicy(faults=faults),
+        ),
+        "mis": api.run(
+            "mis", graphs.random_udg(50, 4.0, np.random.default_rng(3)),
+            rng=np.random.default_rng(7),
+        ),
+        "numpy-scalars": {
+            "list": [np.int64(3), 4, np.float32(0.5), 2.5, True],
+            "tuple": (np.int32(1), 2, np.uint8(255)),
+            "set": {np.int64(5), 6, 7},
+        },
+        "bool-int": [True, 1, False, 0, (True, 2), {False, 3}],
+        "subclasses": [
+            _Level.LOW, 2, (_Level.HIGH, 3), _Name("x"), "y",
+            (_Name("z"),), frozenset({_Level.LOW, 5}),
+        ],
+        "non-finite": [float("nan"), float("inf"), -math.inf, 1.0,
+                       (float("nan"), -0.0)],
+        "nested": ((1, 2), (3, (4, (5,))), [[1, [2, (3,)]], []]),
+        "empty": [[], (), {}, set(), frozenset(), [()], ((),)],
+        "tag-dict": {TAG: "tuple", "items": [1, 2], "plain": [None, "a"]},
+        "int-keys": {0: (1, 2), 1: [3, 4]},
+    }
+
+
+class TestCodecTwin:
+    """The fast-path codec against the reference recursion above."""
+
+    @pytest.mark.parametrize("case", sorted(_twin_cases()))
+    def test_matches_reference_codec(self, case):
+        value = _twin_cases()[case]
+        encoded = encode_value(value)
+        assert_identical(encoded, reference_encode_value(value))
+        text = json.dumps(encoded)
+        assert text == json.dumps(reference_encode_value(value))
+        document = json.loads(text)
+        decoded = decode_value(document)
+        assert_identical(decoded, reference_decode_value(document))
+        assert json.dumps(encode_value(decoded)) == text
+        if isinstance(value, RunReport):
+            assert decoded == value
+
+    def test_decoded_lists_are_fresh(self):
+        document = json.loads(json.dumps(encode_value(
+            {"plain": [1, 2.5, "x", None, True], "tuple": (1, 2),
+             "nested": [[1, 2], [3]]}
+        )))
+        before = json.dumps(document)
+        decoded = decode_value(document)
+        decoded["plain"].append(99)
+        decoded["nested"][0].append(99)
+        decoded["nested"].append([])
+        assert json.dumps(document) == before
+        plain = [1, 2, 3]
+        assert decode_value(plain) is not plain
+
+    def test_encoded_lists_are_fresh(self):
+        source = [1, 2, 3]
+        encoded = encode_value(source)
+        encoded.append(4)
+        assert source == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
 # TrialStats.merge + empty-aggregate refusals (satellite bugfix)
 
 
@@ -207,6 +426,28 @@ class TestStore:
         assert a.digest != self._key(faults="f" * 16).digest
         assert a.digest != self._key(config="c" * 16).digest
 
+    def test_key_digest_is_pinned(self):
+        # Every stored entry lives at this address: a silent change of
+        # the digest would orphan whole stores.
+        key = JobKey(protocol="decay", graph="ab" * 8, seed=7, trial=3,
+                     policy="0123456789abcdef", faults="fedcba9876543210",
+                     config="none", semantics=2)
+        assert key.digest == (
+            "99173d9da980da03fd252d2e0303ce25"
+            "c94959fd36060b4c9b562cd23ab0b2e6"
+        )
+
+    def test_key_digest_is_cached_outside_the_fields(self):
+        key = self._key()
+        assert key.digest is key.digest
+        assert "digest" not in key.asdict()
+        fresh = self._key()
+        assert fresh == key and hash(fresh) == hash(key)
+        again = pickle.loads(pickle.dumps(key))
+        assert again == key and again.digest == key.digest
+        assert dataclasses.replace(key, trial=1).digest == \
+            self._key(trial=1).digest
+
     def test_config_digest_separates_configs(self):
         assert config_digest(None) == "none"
         one = config_digest(api.DecayConfig(iterations=1))
@@ -248,6 +489,37 @@ class TestStore:
             "entries": 1,
         }
         assert list(store.digests()) == [key.digest]
+
+    def test_entry_bytes_are_the_reference_document(self, tmp_path):
+        # put writes exactly json.dumps of the document, which is also
+        # the text json.dump wrote before: stores written by either
+        # read back unchanged.
+        store = ReportStore(tmp_path / "reports")
+        report = _twin_cases()["decay-faulted"]
+        key = self._key()
+        expected = {
+            "format": 1,
+            "key": key.asdict(),
+            "digest": key.digest,
+            "report": reference_encode_value(report),
+        }
+        path = store.put(key, report)
+        streamed = io.StringIO()
+        json.dump(expected, streamed)
+        assert path.read_text() == json.dumps(expected) == streamed.getvalue()
+        assert store.get(key) == report
+
+    def test_orphans_and_quarantined_files_are_not_entries(self, tmp_path):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        path = store.put(key, report)
+        (path.parent / ".tmp-xyz.json").write_text("{")
+        (path.parent / ("cd" * 32 + ".json.corrupt")).write_text("{")
+        assert list(store.digests()) == [key.digest]
+        assert len(store) == 1
+        assert store.stats()["entries"] == 1
 
     def test_existing_entry_wins(self, tmp_path):
         store = ReportStore(tmp_path / "reports")
