@@ -1,20 +1,20 @@
-"""P9 — the fused coin+fault+delivery pipeline and the first
-end-to-end n = 10^6 Radio MIS from the corpus store.
+"""P9 — the streamed-chunk loop and the first end-to-end n = 10^6
+Radio MIS from the corpus store.
 
 PR 9 collapsed the streamed chunk loop's three passes (draw coins,
-apply fault transforms, deliver) into one fused per-chunk pipeline
-pass, which ``delivery="auto"`` runs as blocked pure NumPy. Two claims
-to pin, both on end-to-end Radio MIS under a declared streaming
-budget:
+apply fault transforms, deliver) into one pass per chunk; since then
+that pass is the runner's only streamed path. Two legs under a
+declared streaming budget:
 
-* **Bit-identity first.** At a small n, the fused pass — faulted and
-  fault-free — reproduces the unfused
-  (PR 7) run exactly: MIS result, steps, per-phase trace totals,
-  realized fault counters, and the final rng state. A timing row is
-  meaningless unless this passes, so it gates.
-* **Fusion alone pays.** The pure-NumPy fused pipeline beats the PR 7
-  restricted pure-NumPy path by at least **1.5x** wall-clock at
-  n = 10^5.
+* **Bit-identity first.** At a small n, end-to-end Radio MIS through
+  the runner — faulted and fault-free — reproduces the step-wise
+  ``compute_mis_reference`` twin exactly: MIS result, steps, per-phase
+  trace totals, realized fault counters, and the final rng state. A
+  timing row is meaningless unless this passes, so it gates.
+* **A timed record.** One end-to-end MIS at ``--n`` (default
+  n = 10^5) with its per-layer timing and kernel rows. It carries no
+  floor: the 1.5x fused-over-unfused floor retired with the unfused
+  leg it compared against.
 
 The cap: one end-to-end n = 10^6 MIS, generated into the corpus
 store, mmap-loaded back, and streamed under ``E2E_MEM_BUDGET`` with
@@ -31,7 +31,6 @@ or through ``benchmarks/run_perf_smoke.py`` (``--skip-p9`` /
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import pathlib
 import platform
@@ -44,8 +43,8 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_PR9.json"
 
-#: Streaming memory budget the timed n = 10^5 legs run under (matches
-#: the PR 7 envelope so the speedup is measured against its baseline).
+#: Streaming memory budget the timed n = 10^5 leg runs under (the PR 7
+#: envelope, kept so records stay comparable).
 MEM_BUDGET = "256M"
 
 #: Streaming budget the n = 10^6 end-to-end leg declares.
@@ -55,10 +54,6 @@ E2E_MEM_BUDGET = "512M"
 #: budget plus the resident graph structures (the network's CSR
 #: adjacency and delivery matrix at n = 10^6, ~9 * 10^6 edges).
 E2E_PEAK_CEILING_BYTES = 3 * 2**30
-
-#: Pure-NumPy fused pipeline over the PR 7 restricted-numpy path.
-PIPELINE_FLOOR = 1.5
-
 
 def _udg(n: int, seed: int):
     """The benchmark UDG family (matches bench_p3..p8 fixtures)."""
@@ -81,7 +76,7 @@ def _policy(budget: str = MEM_BUDGET, **kwargs):
 
 
 def _faults(n: int, seed: int):
-    """A schedule exercising every fused fault transform column-wise:
+    """A schedule exercising every in-place fault transform column-wise:
     crashes, late joins, sleep windows, jams, and lossy sends."""
     from repro.faults.schedule import FaultSchedule, Jam
 
@@ -106,30 +101,32 @@ def _faults(n: int, seed: int):
     )
 
 
-def _mis_once(g, seed: int, policy, faults=None, fused=True):
-    from repro.core import MISConfig, compute_mis
-    from repro.engine.kernels import pipeline_disabled
+def _mis_once(g, seed: int, policy, faults=None, reference=False):
+    """One Radio MIS run: the runner under ``policy``, or (``reference``)
+    the step-wise twin on a network carrying the same faults."""
+    from repro.core import MISConfig, compute_mis, compute_mis_reference
     from repro.radio import RadioNetwork
 
     net = RadioNetwork(g, faults=faults)
     rng = np.random.default_rng(seed)
-    ctx = contextlib.nullcontext() if fused else pipeline_disabled()
     t0 = time.perf_counter()
-    with ctx:
+    if reference:
+        result = compute_mis_reference(net, rng, MISConfig(eed_C=2))
+    else:
         result = compute_mis(net, rng, MISConfig(eed_C=2), policy=policy)
     wall = time.perf_counter() - t0
     return result, net, rng, wall
 
 
 def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
-    """The fused pass equals the unfused run, exactly — faulted too."""
+    """The runner equals the step-wise twin, exactly — faulted too."""
     g = _udg(n, seed)
     faults = _faults(n, seed + 7)
     legs = {
-        "unfused": dict(fused=False),
-        "fused-auto": dict(fused=True),
-        "unfused-faulted": dict(fused=False, faults=faults),
-        "fused-faulted": dict(fused=True, faults=faults),
+        "reference": dict(reference=True),
+        "runner": dict(),
+        "reference-faulted": dict(reference=True, faults=faults),
+        "runner-faulted": dict(faults=faults),
     }
     runs = {
         name: _mis_once(g, seed + 1, _policy(), **spec)
@@ -138,8 +135,8 @@ def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
 
     checked = []
     for ref_name, name in [
-        ("unfused", "fused-auto"),
-        ("unfused-faulted", "fused-faulted"),
+        ("reference", "runner"),
+        ("reference-faulted", "runner-faulted"),
     ]:
         ref_res, ref_net, ref_rng, _ = runs[ref_name]
         res, net, rng, _ = runs[name]
@@ -164,7 +161,7 @@ def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
             rng.bit_generator.state == ref_rng.bit_generator.state
         ), name
         checked.append(name)
-    base = runs["unfused"][0]
+    base = runs["reference"][0]
     return {
         "n": n,
         "edges": g.number_of_edges(),
@@ -176,41 +173,21 @@ def check_bit_identity(n: int = 1500, seed: int = 91) -> dict:
 
 
 def bench_pipeline_legs(n: int, seed: int = 92) -> dict:
-    """The timed legs: unfused PR 7 path and fused numpy."""
+    """The timed record: one runner MIS at ``n``, no floor."""
     g = _udg(n, seed)
-    edges = g.number_of_edges()
-
-    base_res, base_net, base_rng, base_s = _mis_once(
-        g, seed + 1, _policy(), fused=False
-    )
-    fused_res, fused_net, fused_rng, fused_s = _mis_once(
-        g, seed + 1, _policy(), fused=True
-    )
-    # The identity trio again, at the timed scale: a speedup row only
-    # counts if this exact pair of runs agreed bit for bit.
-    assert fused_res.mis == base_res.mis
-    assert fused_res.steps_used == base_res.steps_used
-    assert (
-        fused_rng.bit_generator.state == base_rng.bit_generator.state
-    )
-
+    res, net, _, wall = _mis_once(g, seed + 1, _policy())
     return {
         "workload": "end-to-end Radio MIS, streamed under "
         f"{MEM_BUDGET} (eed_C=2)",
         "n": n,
-        "edges": edges,
-        "mis_size": len(base_res.mis),
-        "steps": base_res.steps_used,
+        "edges": g.number_of_edges(),
+        "mis_size": len(res.mis),
+        "steps": res.steps_used,
         "mem_budget": MEM_BUDGET,
-        "unfused_s": base_s,
-        "fused_numpy_s": fused_s,
-        "pipeline_speedup": base_s / fused_s,
-        "pipeline_floor": PIPELINE_FLOOR,
-        "unfused_timing": dict(base_net.phase_timing),
-        "fused_timing": dict(fused_net.phase_timing),
-        "unfused_kernel_use": dict(base_net.kernel_use),
-        "fused_kernel_use": dict(fused_net.kernel_use),
-        "residual_stats": dict(fused_net.residual_stats),
+        "mis_s": wall,
+        "timing": dict(net.phase_timing),
+        "kernel_use": dict(net.kernel_use),
+        "residual_stats": dict(net.residual_stats),
     }
 
 
@@ -219,7 +196,7 @@ def bench_e2e_million(n: int, seed: int = 93) -> dict:
 
     The graph is generated with the PR 8 cell-grid CSR generator,
     persisted to a store entry, mmap-loaded back, and streamed through
-    the fused pipeline under ``E2E_MEM_BUDGET`` with the tracemalloc
+    the runner's chunk loop under ``E2E_MEM_BUDGET`` with the tracemalloc
     peak recorded — the first end-to-end million-node run the repo
     has produced.
     """
@@ -280,13 +257,11 @@ def run_bench(
     """Run the PR 9 benchmarks and assemble the persistable record."""
     identity = check_bit_identity(n=identity_n)
     legs = bench_pipeline_legs(n=n)
-    passes = legs["pipeline_speedup"] >= legs["pipeline_floor"]
+    passes = True
     e2e = None
     if not skip_e2e:
         e2e = bench_e2e_million(n=e2e_n)
-        passes = passes and (
-            e2e["peak_mem_bytes"] <= e2e["peak_ceiling_bytes"]
-        )
+        passes = e2e["peak_mem_bytes"] <= e2e["peak_ceiling_bytes"]
     return {
         "bench": "p9_pipeline",
         "generated": datetime.now(timezone.utc).isoformat(),
@@ -309,8 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--n", type=int, default=100000,
-        help="timed pipeline scale (acceptance assumes 100000; CI "
-        "uses 30000)",
+        help="timed MIS record scale (default 100000; CI uses 30000)",
     )
     parser.add_argument(
         "--identity-n", type=int, default=1500,
@@ -338,10 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         f"bit-identity n={ident['n']}: legs {ident['legs']} identical"
     )
     print(
-        f"MIS n={legs['n']}: unfused {legs['unfused_s']:.2f}s, "
-        f"fused numpy {legs['fused_numpy_s']:.2f}s "
-        f"= {legs['pipeline_speedup']:.2f}x "
-        f"(floor {legs['pipeline_floor']}x)"
+        f"MIS n={legs['n']}: {legs['mis_s']:.2f}s "
+        f"({legs['steps']} steps, |MIS|={legs['mis_size']})"
     )
     e2e = results["e2e_million"]
     if e2e is not None:

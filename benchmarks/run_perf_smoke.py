@@ -27,10 +27,10 @@ CSR generation bit-compatible with the reference generators and at
 least 10x faster, metadata-only mmap loads, and zero-copy
 shared-memory trial workers with flat per-worker RSS — persisted to
 ``BENCH_PR8.json``), and the ``bench_p9_pipeline`` pass (PR 9: the
-fused coin+fault+delivery pipeline — small-n bit-identity of the
-fused pass against the unfused chunk paths (faulted legs included),
-the fused-vs-unfused speedup gate at scale, and optionally the
-end-to-end n = 10^6 corpus-store MIS — persisted to
+streamed-chunk loop — small-n bit-identity of end-to-end MIS against
+the step-wise ``compute_mis_reference`` twin (faulted legs included),
+a timed MIS record at scale, and optionally the end-to-end n = 10^6
+corpus-store MIS with its peak-memory ceiling — persisted to
 ``BENCH_PR9.json``), and the ``bench_p10_service`` pass (PR 10: the
 experiment service — resubmitting a completed MIS campaign at least
 50x faster than its cold run via the content-addressed report store,
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         "--p9-n",
         type=int,
         default=100000,
-        help="scale of the PR 9 fused-pipeline gate (default 100000; "
+        help="scale of the PR 9 timed MIS record (default 100000; "
         "CI uses 30000)",
     )
     parser.add_argument(
@@ -375,9 +375,8 @@ def main(argv: list[str] | None = None) -> int:
 
         legs = p9["pipeline_legs"]
         print(
-            f"fused pipeline n={legs['n']}: fused numpy "
-            f"{legs['pipeline_speedup']:.2f}x "
-            f"(floor {legs['pipeline_floor']}x)"
+            f"chunk-loop MIS n={legs['n']}: {legs['mis_s']:.2f}s "
+            f"(bit-identical to the step-wise twin)"
         )
         if p9["e2e_million"] is not None:
             e2e = p9["e2e_million"]

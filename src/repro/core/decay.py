@@ -41,7 +41,6 @@ from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import ProtocolSchedule, StreamedWindow
 from ..radio.network import (
     NO_SENDER,
-    PipelineForm,
     RadioNetwork,
     TransmitPlan,
 )
@@ -165,48 +164,6 @@ class Decay(Protocol):
         if self._step >= self.total_steps:
             self._finished = True
 
-    def _absorb_window(self, hear_window: np.ndarray) -> None:
-        """Fold a ``(k, n)`` window of receptions, in step order.
-
-        Equivalent to ``k`` sequential :meth:`observe` calls: for every
-        node not yet served, the *first* step of the window on which it
-        heard someone determines its ``heard_from`` entry.
-        """
-        k = hear_window.shape[0]
-        got = hear_window != NO_SENDER
-        fresh = got.any(axis=0) & ~self.heard
-        if fresh.any():
-            cols = np.nonzero(fresh)[0]
-            first = got[:, cols].argmax(axis=0)
-            self.heard_from[cols] = hear_window[first, cols]
-            self.heard[cols] = True
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window_at(
-        self, hear_window: np.ndarray, cols: np.ndarray
-    ) -> None:
-        """Column-restricted twin of :meth:`_absorb_window`.
-
-        ``hear_window`` is ``(k, len(cols))`` with senders already
-        translated to global ids; every node outside ``cols`` heard
-        silence (the residual support invariant), so folding the member
-        columns folds the whole window.
-        """
-        k = hear_window.shape[0]
-        got = hear_window != NO_SENDER
-        fresh = got.any(axis=0) & ~self.heard[cols]
-        if fresh.any():
-            local = np.nonzero(fresh)[0]
-            gcols = cols[local]
-            first = got[:, local].argmax(axis=0)
-            self.heard_from[gcols] = hear_window[first, local]
-            self.heard[gcols] = True
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
     def _absorb_coo(
         self,
         k: int,
@@ -214,11 +171,11 @@ class Decay(Protocol):
         nodes: np.ndarray,
         senders: np.ndarray,
     ) -> None:
-        """Reception-triple twin of :meth:`_absorb_window`.
+        """Fold a ``k``-step chunk of receptions.
 
-        Folds ``(step, node, sender)`` triples for a ``k``-step chunk,
-        in arbitrary order: among a node's receptions the earliest step
-        wins, matching the first-hit scan of the slab form (the radio
+        Equivalent to ``k`` sequential :meth:`observe` calls. Folds
+        ``(step, node, sender)`` triples in arbitrary order: for every
+        node not yet served, its earliest reception wins (the radio
         model delivers at most one sender per node per step, so the
         earliest step pins a unique sender).
         """
@@ -267,7 +224,7 @@ def decay_block_schedule(
     — a ``(k, L)`` block per chunk over the ``L`` active nodes — which
     is stream-identical to the per-step draws of the :class:`Decay`
     protocol whatever the slab height; receptions fold
-    in step order through :meth:`Decay._absorb_window`. Returns the
+    per chunk through :meth:`Decay._absorb_coo`. Returns the
     block's :class:`DecayResult`.
     """
     protocol = Decay(
@@ -297,19 +254,12 @@ def decay_block_schedule(
         ) -> np.ndarray:
             return scatter_rows(bits(start, stop), eligible, n, cols)
 
-        # Separable form for the fused pipeline: the ladder probability
-        # is a pure row factor and the fixed active set a 0/1 column
-        # factor whose nonzero columns are exactly the eligible nodes.
-        col = protocol.active.astype(np.float64)
-
         yield StreamedWindow(
             TransmitPlan(
                 total, masks,
                 support=protocol.active, masks_at=masks_at,
-                pipeline=PipelineForm(coins, probs, lambda start: col),
+                eligible=lambda start: eligible,
             ),
-            consume=protocol._absorb_window,
-            consume_at=protocol._absorb_window_at,
             consume_coo=protocol._absorb_coo,
         )
     return protocol.result()

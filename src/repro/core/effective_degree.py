@@ -39,7 +39,6 @@ from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import PlanSection, ProtocolSchedule, StreamedWindow
 from ..radio.network import (
     NO_SENDER,
-    PipelineForm,
     RadioNetwork,
     TransmitPlan,
 )
@@ -142,43 +141,6 @@ class EstimateEffectiveDegree(Protocol):
         if self._step >= self.total_steps:
             self._finished = True
 
-    def _absorb_window(self, hear_window: np.ndarray) -> None:
-        """Fold a ``(k, n)`` window of receptions, in step order.
-
-        Equivalent to ``k`` sequential :meth:`observe` calls: each row's
-        hears increment the counter of that step's density level. A
-        chunk may straddle level boundaries, so rows are grouped by
-        level before the (order-independent) per-level sums.
-        """
-        k = hear_window.shape[0]
-        heard = (hear_window != NO_SENDER) & self.active[None, :]
-        levels = (self._step + np.arange(k)) // self.steps_per_level
-        for lev in np.unique(levels):
-            rows = heard[levels == lev]
-            self.counts[lev] += rows.sum(axis=0)
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window_at(
-        self, hear_window: np.ndarray, cols: np.ndarray
-    ) -> None:
-        """Column-restricted twin of :meth:`_absorb_window`.
-
-        ``hear_window`` is ``(k, len(cols))``; nodes outside ``cols``
-        heard silence (residual support invariant), so their counters
-        are unchanged by construction.
-        """
-        k = hear_window.shape[0]
-        heard = (hear_window != NO_SENDER) & self.active[cols][None, :]
-        levels = (self._step + np.arange(k)) // self.steps_per_level
-        for lev in np.unique(levels):
-            rows = heard[levels == lev]
-            self.counts[lev, cols] += rows.sum(axis=0)
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
     def _absorb_coo(
         self,
         k: int,
@@ -186,13 +148,14 @@ class EstimateEffectiveDegree(Protocol):
         nodes: np.ndarray,
         senders: np.ndarray,
     ) -> None:
-        """Reception-triple twin of :meth:`_absorb_window`.
+        """Fold a ``k``-step chunk of receptions.
 
-        Folds ``(step, node, sender)`` triples for a ``k``-step chunk:
-        each reception bumps the counter of its step's density level.
-        Hear counts are order-independent sums, so arbitrary triple
-        order is fine; ``np.add.at`` accumulates duplicates (the same
-        node hearing on several steps of one chunk) correctly.
+        Equivalent to ``k`` sequential :meth:`observe` calls. Folds
+        ``(step, node, sender)`` triples: each reception bumps the
+        counter of its step's density level. Hear counts are
+        order-independent sums, so arbitrary triple order is fine;
+        ``np.add.at`` accumulates duplicates (the same node hearing on
+        several steps of one chunk) correctly.
         """
         keep = self.active[nodes]
         if keep.any():
@@ -229,7 +192,7 @@ def effective_degree_schedule(
     chunk over the ``L`` nodes with ``p > 0``, stream-identical to the
     protocol's per-step draws whatever slab height the runner picks — and
     its receptions folded per chunk through
-    :meth:`EstimateEffectiveDegree._absorb_window`. Returns the block's
+    :meth:`EstimateEffectiveDegree._absorb_coo`. Returns the block's
     :class:`EffectiveDegreeResult`.
     """
     protocol = EstimateEffectiveDegree(
@@ -265,13 +228,6 @@ def effective_degree_schedule(
         ) -> np.ndarray:
             return scatter_rows(bits(start, stop), eligible, n, cols)
 
-        # Separable form for the fused pipeline: `p * 2^-i` equals the
-        # slab path's `p / 2^i` bit-for-bit (power-of-two scaling is
-        # exact), with the desire level — already zeroed outside the
-        # active set, so its nonzero columns are the eligible nodes —
-        # as the fixed column factor.
-        row_probs = 2.0 ** -(np.arange(total) // protocol.steps_per_level)
-
         # One unlabeled section per density level. Chunks never
         # straddle a section boundary, so every fold sees rows of a
         # single level, and the whole ladder still shares one plan —
@@ -280,10 +236,7 @@ def effective_degree_schedule(
         sections = tuple(
             PlanSection(
                 protocol.steps_per_level,
-                None,
-                protocol._absorb_window,
-                protocol._absorb_window_at,
-                protocol._absorb_coo,
+                consume_coo=protocol._absorb_coo,
             )
             for _ in range(protocol.levels)
         )
@@ -292,9 +245,7 @@ def effective_degree_schedule(
             TransmitPlan(
                 total, masks,
                 support=protocol.active, masks_at=masks_at,
-                pipeline=PipelineForm(
-                    coins, row_probs, lambda start: protocol.p
-                ),
+                eligible=lambda start: eligible,
             ),
             sections=sections,
         )

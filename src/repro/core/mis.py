@@ -37,7 +37,7 @@ from ..engine.segments import (
     StreamedWindow,
     TracePhase,
 )
-from ..radio.network import PipelineForm, RadioNetwork, TransmitPlan
+from ..radio.network import RadioNetwork, TransmitPlan
 from .decay import Decay, claim10_iterations, run_decay_reference
 from .resulteq import ArrayEqMixin
 from .effective_degree import (
@@ -237,35 +237,24 @@ def mis_schedule(
         ) -> np.ndarray:
             return scatter_rows(*bits(start, stop), n, cols)
 
-        def col_probs(start: int) -> np.ndarray:
-            # Separable form: the ladder probability is the row factor
-            # and the block's 0/1 membership the column factor, chosen
-            # by which section's rows the chunk covers (chunks never
-            # straddle the section boundary).
-            block = d1.active if start < span else _second().active
-            return block.astype(np.float64)
+        def eligible(start: int) -> np.ndarray:
+            # Column hint: the transmitters of the section starting at
+            # `start` — block 2's set exists only once block 1 folded.
+            return (d1 if start < span else _second()).eligible
 
         yield StreamedWindow(
             TransmitPlan(
                 2 * span, masks,
                 support=active.copy(), masks_at=masks_at,
-                pipeline=PipelineForm(
-                    coins, np.concatenate([probs, probs]), col_probs
-                ),
+                eligible=eligible,
             ),
             sections=(
                 PlanSection(
-                    span, "mis/decay-marked",
-                    d1._absorb_window, d1._absorb_window_at,
-                    d1._absorb_coo,
+                    span, "mis/decay-marked", consume_coo=d1._absorb_coo
                 ),
                 PlanSection(
                     span, "mis/decay-mis",
-                    lambda slab: _second()._absorb_window(slab),
-                    lambda slab, cols: _second()._absorb_window_at(
-                        slab, cols
-                    ),
-                    lambda k, steps, nodes, senders: (
+                    consume_coo=lambda k, steps, nodes, senders: (
                         _second()._absorb_coo(k, steps, nodes, senders)
                     ),
                 ),

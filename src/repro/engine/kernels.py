@@ -24,15 +24,14 @@ sub-graph's degrees are what its routing decisions must use (inherited
 extremes would over-route shrunken graphs dense and can violate the
 packing bound's premise in the other direction).
 
-The fused coin+fault+delivery chunk pass that ``delivery="auto"`` runs
-(:meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) feeds its
-blocks to :meth:`DeliveryKernels.execute_coo` directly — no ``(k, n)``
-hear slab. It is an ``"auto"`` behavior, not a selectable mode.
+The runner's one streamed-chunk loop
+(:meth:`~repro.engine.runner.WindowedRunner._execute_stream`) feeds
+every chunk, under every ``delivery`` mode, to
+:meth:`DeliveryKernels.execute_coo` directly — no ``(k, n)`` hear slab
+unless a slab-only fold asks for one.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,31 +86,6 @@ SPARSE_PREEMPT_FACTOR = 8.0
 #: of numpy calls proportional to the transmitters' degree sum. Exact
 #: integer sums either way; a routing knob, never a semantics knob.
 GATHER_WINDOW_WIDTH = 32
-
-_pipeline_active = True
-
-
-def pipeline_enabled() -> bool:
-    """Whether ``delivery="auto"`` may take the fused pipeline pass."""
-    return _pipeline_active
-
-
-@contextlib.contextmanager
-def pipeline_disabled():
-    """Force the unfused (pre-ISSUE-9) chunk paths under ``"auto"``.
-
-    The benchmarks' baseline leg and the pipeline equivalence tests
-    use this to pin the fused pass against the classic slab path on
-    one rng stream.
-    """
-    global _pipeline_active
-    previous = _pipeline_active
-    _pipeline_active = False
-    try:
-        yield
-    finally:
-        _pipeline_active = previous
-
 
 def available_delivery_modes() -> tuple[str, ...]:
     """The delivery modes this process can execute: ``"auto"``,
@@ -485,7 +459,7 @@ class DeliveryKernels:
         :data:`GATHER_WINDOW_WIDTH` rows) or the sparse product;
         ``"sparse"`` and ``"dense"`` force those kernels. ``cols``
         (optional, sorted global indices) promises every mask column
-        outside it is False (the fused pipeline's eligible set; fault
+        outside it is False (a plan's ``eligible`` hint; fault
         transforms only ever *clear* bits, so the promise survives
         them), letting the popcount and transmitter scans run over a
         compact column gather when that is meaningfully narrower than
@@ -557,7 +531,5 @@ __all__ = [
     "SPARSE_COO_ENTRY_BYTES",
     "SPARSE_PREEMPT_FACTOR",
     "available_delivery_modes",
-    "pipeline_disabled",
-    "pipeline_enabled",
     "require_delivery_mode",
 ]

@@ -5,10 +5,13 @@ meet the simulator: :class:`~repro.engine.segments.ObliviousWindow`
 segments execute through the batched
 :meth:`~repro.radio.network.RadioNetwork.deliver_window` product,
 :class:`~repro.engine.segments.DecisionStep` segments through the fused
-single-step :meth:`~repro.radio.network.RadioNetwork.deliver` path.
-Because both network entry points are bit-identical per step, a schedule
-executed here produces exactly the receptions, trace totals and
-``steps_elapsed`` of the step-wise loop it replaced — only faster.
+single-step :meth:`~repro.radio.network.RadioNetwork.deliver` path, and
+:class:`~repro.engine.segments.StreamedWindow` segments through the
+runner's one streamed-chunk loop (:meth:`WindowedRunner._execute_stream`),
+full width or on a residual context's member columns. Because every
+path is bit-identical per step, a schedule executed here produces
+exactly the receptions, trace totals and ``steps_elapsed`` of the
+step-wise loop it replaced — only faster.
 
 Delivery routing: ``deliver_window`` has two internally equivalent
 execution strategies — the sparse product and, for windows whose masks
@@ -48,14 +51,10 @@ from ..radio.errors import BudgetExceededError, ProtocolError
 from ..radio.network import (
     DELIVERY_MODES,
     NO_SENDER,
-    PipelineForm,
     RadioNetwork,
     TransmitPlan,
-    as_transmit_plan,
 )
-from . import kernels
 from .kernels import require_delivery_mode
-from .pcg import scatter_rows
 from .residual import (
     REBUILD_FACTOR,
     RESIDUAL_MAX_FRACTION,
@@ -68,6 +67,7 @@ from .segments import (
     ObliviousWindow,
     PlanSection,
     ProtocolSchedule,
+    ReceptionFold,
     SegmentProtocol,
     StreamedWindow,
     TracePhase,
@@ -92,10 +92,11 @@ class WindowedRunner:
         execution strategy: a ``w``-row window costs ``w`` whether it
         runs sparse, dense, or as a multiplexed joint window.
     delivery:
-        Window execution strategy, forwarded to
-        :meth:`~repro.radio.network.RadioNetwork.deliver_window`:
-        ``"auto"`` (default) routes each window by its estimated
-        density, ``"sparse"``/``"dense"`` force one path. All three are
+        Window execution strategy for every materialized window
+        (:meth:`~repro.radio.network.RadioNetwork.deliver_window`) and
+        streamed chunk (:meth:`~repro.engine.kernels.DeliveryKernels
+        .execute_coo`): ``"auto"`` (default) routes each block by its
+        estimated density, ``"sparse"``/``"dense"`` force one path. All three are
         bit-identical; this is a performance knob only.
     chunk_steps, mem_budget:
         The streaming knobs — memory knobs only, never semantics knobs
@@ -167,9 +168,10 @@ class WindowedRunner:
             )
         self.steps_executed += steps
 
-    # The execution hooks exist so the contract-checking
-    # ValidatingRunner (repro.engine.validate) can interpose replay
-    # checks without duplicating the dispatch loop.
+    # The execution hooks (_execute_window, _execute_step, _chunk_fold)
+    # exist so the contract-checking ValidatingRunner
+    # (repro.engine.validate) can interpose replay checks without
+    # duplicating the dispatch loop.
     def _execute_window(self, masks: np.ndarray) -> np.ndarray:
         """Execute one charged oblivious window.
 
@@ -202,7 +204,7 @@ class WindowedRunner:
         """The section list of a streamed window.
 
         Fused windows carry their own sections; a plain window becomes
-        one anonymous section wrapping its ``consume``/``consume_at``
+        one anonymous section wrapping its ``consume``/``consume_coo``
         callbacks, so there is exactly one streaming loop either way.
         """
         if segment.sections is not None:
@@ -218,20 +220,18 @@ class WindowedRunner:
                 segment.plan.total_steps,
                 None,
                 segment.consume,
-                segment.consume_at,
                 segment.consume_coo,
             ),
         )
 
     def _restriction_for(
-        self, plan: TransmitPlan, sections: tuple[PlanSection, ...]
+        self, plan: TransmitPlan
     ) -> ResidualContext | None:
         """Decide (and cache) the residual context for one plan.
 
         ``None`` means execute full-width. Restriction needs the plan's
-        opt-in surface (``support`` + ``masks_at``) and every section's
-        ``consume_at``. Under ``"auto"``, it also needs to be worth it:
-        the live fraction at or below
+        opt-in surface (``support`` + ``masks_at``). Under ``"auto"``,
+        it also needs to be worth it: the live fraction at or below
         :data:`~repro.engine.residual.RESTRICT_LIVE_FRACTION` and the
         one-hop closure below
         :data:`~repro.engine.residual.RESIDUAL_MAX_FRACTION` of ``n``.
@@ -244,8 +244,6 @@ class WindowedRunner:
         if self.restrict == "off":
             return None
         if plan.support is None or plan.masks_at is None:
-            return None
-        if any(s.consume_at is None for s in sections):
             return None
         network = self.network
         support = np.asarray(plan.support, dtype=bool)
@@ -275,205 +273,144 @@ class WindowedRunner:
         network.residual_stats["rebuilds"] += 1
         return ctx
 
-    def _coo_fold_ok(self, sections: tuple[PlanSection, ...]) -> bool:
-        """Whether the fused COO reception path may serve this plan.
+    def _section_fold(self, section: PlanSection) -> ReceptionFold:
+        """The reception-triple fold of one section.
 
-        Needs every section's ``consume_coo`` fold and
-        ``delivery="auto"`` (gated on the module toggle so benchmarks
-        and the equivalence suites can pin the unfused baseline). The
-        validating runner overrides this to ``False``: its replay
-        machinery compares the *slab* paths, and the pipeline itself is
-        pinned by its own equivalence suite.
+        ``consume_coo`` when the section has one; otherwise its slab
+        ``consume`` (multiplexed joint windows, streaming plan/commit
+        sources) behind a scatter into a ``NO_SENDER``-filled ``(k, n)``
+        slab.
         """
-        if self.delivery != "auto" or not kernels.pipeline_enabled():
-            return False
-        return all(s.consume_coo is not None for s in sections)
+        if section.consume_coo is not None:
+            return section.consume_coo
+        consume = section.consume
+        if consume is None:
+            raise ProtocolError(
+                "StreamedWindow section has neither a consume nor a "
+                "consume_coo callback"
+            )
+        n = self.network.n
 
-    def _pipeline_for(
-        self, plan: TransmitPlan, sections: tuple[PlanSection, ...]
-    ) -> PipelineForm | None:
-        """The plan's separable form when the fused pass may run."""
-        if plan.pipeline is None or not self._coo_fold_ok(sections):
-            return None
-        return plan.pipeline
+        def scatter(
+            k: int, steps: np.ndarray, nodes: np.ndarray,
+            senders: np.ndarray,
+        ) -> None:
+            slab = np.full((k, n), NO_SENDER, dtype=np.int64)
+            slab[steps, nodes] = senders
+            consume(slab)
+
+        return scatter
+
+    def _chunk_fold(
+        self,
+        fold: ReceptionFold,
+        masks: np.ndarray,
+        cols: np.ndarray | None,
+    ) -> ReceptionFold:
+        """Hook: the fold for one chunk, given its intended masks.
+
+        Called after the chunk is charged and before its in-place fault
+        transform, so ``masks`` are still the intended (pre-fault)
+        masks — compact over ``cols`` on a residual chunk. The
+        validating runner wraps ``fold`` to cross-check the chunk's
+        receptions against a step replay of these masks.
+        """
+        return fold
 
     def _execute_stream(self, segment: StreamedWindow) -> None:
-        """Execute one streamed window, folding chunks as they arrive.
+        """Execute one streamed window: the one chunk loop.
 
-        Budget charges land per chunk, after its masks are produced and
-        before it executes — the granularity (and rng consumption on an
-        aborted run) of the pre-streaming emitters, which drew each
-        chunk's coins before yielding it. Per-slab processing goes
-        through :meth:`_consume_stream_slab`, the hook the validating
-        runner interposes on — there is exactly one streaming loop.
+        The loop has one variable, its column set. Full width takes
+        masks from ``plan.masks``; a residual context
+        (:meth:`_restriction_for`) takes them from ``plan.masks_at``
+        over the member columns and runs the residual kernels, with
+        local ids translated back to global before the fold, so
+        protocol state never sees a local index. Every chunk then runs
+        the same stages in order:
 
-        Fused windows execute section by section (chunks never straddle
-        a section boundary; each section may enter its own trace
-        phase), and plans that opt in may run column-restricted on a
-        residual context (:meth:`_restriction_for`) — both reduce to
-        the classic single-loop behavior when unused.
-        """
-        plan = segment.plan
-        sections = self._plan_sections(segment)
-        ctx = self._restriction_for(plan, sections)
-        if ctx is not None:
-            self._execute_stream_restricted(plan, sections, ctx)
-            return
-        form = self._pipeline_for(plan, sections)
-        if form is not None:
-            self._execute_stream_pipeline(plan, sections, form)
-            return
-        timing = self.network.phase_timing
-        chunk = default_stream_chunk(
-            self.network.n, self._resolved_chunk_steps()
-        )
-        inner = plan.masks
-        # Plans are one-shot (lazy coin draws cannot be replayed), so
-        # the charging wrapper also stashes each chunk's masks for the
-        # per-slab hook; exactly one chunk is in flight at a time.
-        current: list[np.ndarray] = []
-        coin_spent = [0.0]
-        base = 0
-        for section in sections:
-            if section.phase is not None:
-                self.network.trace.enter_phase(section.phase)
+        1. produce the masks and check their shape and dtype;
+        2. charge the budget — the granularity (and rng consumption on
+           an aborted run) of emitters that draw a chunk's coins before
+           executing it;
+        3. apply the fault transform **in place**
+           (:meth:`~repro.faults.state.FaultState
+           .transform_window_inplace`; the runner owns the masks a plan
+           returns, see :class:`~repro.radio.network.TransmitPlan`);
+        4. deliver to a ``(step, node, sender)`` reception triple
+           (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`)
+           and silence deaf receptions point-wise
+           (:meth:`~repro.faults.state.FaultState.deaf_at`);
+        5. account the steps and trace totals, then fold the triple
+           through the section's fold (:meth:`_section_fold`).
 
-            def charged(
-                start: int, stop: int, _base: int = base
-            ) -> np.ndarray:
-                t0 = perf_counter()
-                masks = np.asarray(inner(_base + start, _base + stop))
-                coin_spent[0] += perf_counter() - t0
-                self._charge(stop - start)
-                current.append(masks)
-                return masks
-
-            stream = self.network.deliver_window_chunks(
-                TransmitPlan(section.width, charged),
-                chunk_steps=chunk,
-                mode=self.delivery,
-            )
-            while True:
-                # "deliver" is the chunk's wall time minus its mask
-                # production (timed inside `charged`); with faults
-                # installed the classic path's transform time lands in
-                # "deliver" too — only the fused pass separates it.
-                coin_spent[0] = 0.0
-                t0 = perf_counter()
-                slab = next(stream, None)
-                if slab is None:
-                    break
-                timing["deliver"] += perf_counter() - t0 - coin_spent[0]
-                timing["coins"] += coin_spent[0]
-                t0 = perf_counter()
-                self._consume_stream_slab(
-                    slab, current.pop(), section.consume
-                )
-                timing["commit"] += perf_counter() - t0
-            self.network.residual_stats["full_steps"] += section.width
-            base += section.width
-
-    def _pipeline_masks(
-        self,
-        form: PipelineForm,
-        start: int,
-        k: int,
-        eligible: np.ndarray,
-        col_thresh: np.ndarray | None,
-    ) -> np.ndarray:
-        """Produce chunk rows ``[start, start + k)`` of a pipeline plan.
-
-        Contract v2 (DESIGN.md §4.3): the chunk's coins are one
-        ``(k, L)`` block over the section's ``L`` eligible nodes — the
-        columns whose ``col_probs`` factor is nonzero — drawn into the
-        coin field's reused scratch and thresholded without a ``(k,
-        n)`` float threshold matrix. When ``col_thresh`` is ``None``
-        the eligible column factors are all 1 (the Decay/MIS case) and
-        the whole block compares against the row probabilities alone;
-        otherwise one reused ``(L,)`` threshold row per step. Both
-        produce the emitter's mask bits exactly (see
-        :class:`~repro.radio.network.PipelineForm`).
-        """
-        n = self.network.n
-        rp = form.row_probs[start : start + k]
-        block = form.coins.draw(k, eligible.size)
-        bits = np.empty((k, eligible.size), dtype=bool)
-        if col_thresh is None:
-            np.less(block, rp[:, None], out=bits)
-        else:
-            thresh = np.empty(eligible.size, dtype=np.float64)
-            for t in range(k):
-                np.multiply(col_thresh, rp[t], out=thresh)
-                np.less(block[t], thresh, out=bits[t])
-        self.network._bump_kernel("pipeline-numpy", k)
-        return scatter_rows(bits, eligible, n)
-
-    def _execute_stream_pipeline(
-        self,
-        plan: TransmitPlan,
-        sections: tuple[PlanSection, ...],
-        form: PipelineForm,
-    ) -> None:
-        """The fused coin+fault+delivery twin of :meth:`_execute_stream`.
-
-        Per chunk: produce the mask bits straight from the separable
-        thresholds (:meth:`_pipeline_masks`), apply the fault transform
-        **in place** on the one mask array
-        (:meth:`~repro.faults.state.FaultState.transform_window_inplace`),
-        deliver to a sparse ``(step, node, sender)`` reception triple
-        (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo` — no
-        ``(k, n)`` hear slab), silence deaf receptions point-wise, and
-        fold through the section's ``consume_coo``. Charging, trace
-        accounting, fault counters, and rng consumption are identical
-        to the classic path chunk for chunk — the pipeline equivalence
-        suite pins all of it bit-for-bit. Each stage feeds its own
-        ``phase_timing`` bucket.
+        Chunks never straddle a section boundary; each section may
+        enter its own trace phase. On full width the plan's optional
+        ``eligible(start)`` hint, read once per section, lets the
+        kernels scan transmitters over a compact column gather (fault
+        transforms only clear bits, so the hint survives them). Each
+        stage feeds its own ``phase_timing`` bucket.
         """
         network = self.network
         timing = network.phase_timing
         fault_state = network._fault_state
-        delivery = network._delivery_kernels()
+        plan = segment.plan
+        sections = self._plan_sections(segment)
+        ctx = self._restriction_for(plan)
+        if ctx is None:
+            cols, width, stat = None, network.n, "full_steps"
+            kernels = network._delivery_kernels()
+            producer, produce = "masks", plan.masks
+        else:
+            cols, width, stat = ctx.members, ctx.k, "restricted_steps"
+            kernels = ctx.kernels
+            producer = "masks_at"
+
+            def produce(start: int, stop: int) -> np.ndarray:
+                return plan.masks_at(start, stop, cols)
+
         chunk = default_stream_chunk(
-            network.n, self._resolved_chunk_steps()
+            max(1, width), self._resolved_chunk_steps(width)
         )
         base = 0
         for section in sections:
             if section.phase is not None:
                 network.trace.enter_phase(section.phase)
-            t0 = perf_counter()
-            col_probs = np.asarray(form.col_probs(base), dtype=np.float64)
-            # Per-section column analysis: the nonzero column factors
-            # are the section's eligible nodes (the coin draw's width);
-            # an all-ones eligible factor lets the mask stage threshold
-            # the whole block at once; and the eligible list lets the
-            # delivery stage scan transmitters compact (faults only
-            # clear bits, so the promise survives the transform).
-            eligible = np.flatnonzero(col_probs)
-            col_thresh = col_probs[eligible]
-            if bool((col_thresh == 1.0).all()):
-                col_thresh = None
-            timing["plan"] += perf_counter() - t0
+            fold = self._section_fold(section)
+            hint = None
+            if ctx is None and plan.eligible is not None:
+                t0 = perf_counter()
+                hint = np.asarray(plan.eligible(base), dtype=np.int64)
+                timing["plan"] += perf_counter() - t0
             done = 0
             while done < section.width:
                 k = min(chunk, section.width - done)
                 start = base + done
                 t0 = perf_counter()
-                masks = self._pipeline_masks(
-                    form, start, k, eligible, col_thresh
-                )
+                masks = np.asarray(produce(start, start + k))
                 timing["coins"] += perf_counter() - t0
+                if masks.shape != (k, width) or masks.dtype != np.bool_:
+                    raise ProtocolError(
+                        f"TransmitPlan.{producer} produced shape "
+                        f"{masks.shape} dtype {masks.dtype} for steps "
+                        f"[{start}, {start + k}); expected bool "
+                        f"({k}, {width})"
+                    )
                 self._charge(k)
+                chunk_fold = self._chunk_fold(fold, masks, cols)
                 t1 = perf_counter()
                 if fault_state is not None:
                     fault_state.transform_window_inplace(
-                        masks, network.steps_elapsed
+                        masks, network.steps_elapsed, cols=cols
                     )
                 t2 = perf_counter()
                 timing["faults"] += t2 - t1
-                steps, nodes, senders = delivery.execute_coo(
+                steps, nodes, senders = kernels.execute_coo(
                     masks, self.delivery, counters=network.kernel_use,
-                    cols=eligible,
+                    cols=hint,
                 )
+                if cols is not None:
+                    nodes = cols[nodes]
+                    senders = cols[senders]
                 receptions = int(steps.size)
                 if fault_state is not None and receptions:
                     deaf = fault_state.deaf_at(
@@ -490,188 +427,11 @@ class WindowedRunner:
                 t3 = perf_counter()
                 timing["deliver"] += t3 - t2
                 network._account_window(masks, receptions)
-                section.consume_coo(k, steps, nodes, senders)
+                network.residual_stats[stat] += k
+                chunk_fold(k, steps, nodes, senders)
                 timing["commit"] += perf_counter() - t3
                 done += k
-            network.residual_stats["full_steps"] += section.width
             base += section.width
-
-    def _execute_stream_restricted(
-        self,
-        plan: TransmitPlan,
-        sections: tuple[PlanSection, ...],
-        ctx: ResidualContext,
-    ) -> None:
-        """The column-restricted twin of :meth:`_execute_stream`.
-
-        Chunks are produced compact (``plan.masks_at`` over the member
-        columns — same rng consumption as the full draw), fault-masked
-        compact (global-id-keyed transforms), executed on the residual
-        kernels, and folded compact through each section's
-        ``consume_at`` — with senders translated back to global ids
-        first, so protocol state never sees a local index. Accounting
-        is identical to the full path: intended masks are False outside
-        the members, so compact popcounts *are* the global popcounts.
-        """
-        network = self.network
-        timing = network.phase_timing
-        members = ctx.members
-        k_r = ctx.k
-        chunk = default_stream_chunk(
-            max(1, k_r), self._resolved_chunk_steps(k_r)
-        )
-        stats = network.residual_stats
-        use_coo = self._coo_fold_ok(sections)
-        base = 0
-        for section in sections:
-            if section.phase is not None:
-                network.trace.enter_phase(section.phase)
-            done = 0
-            while done < section.width:
-                k = min(chunk, section.width - done)
-                start = base + done
-                t0 = perf_counter()
-                intended = np.asarray(
-                    plan.masks_at(start, start + k, members)
-                )
-                timing["coins"] += perf_counter() - t0
-                if intended.shape != (k, k_r) or (
-                    intended.dtype != np.bool_
-                ):
-                    raise ProtocolError(
-                        f"masks_at produced shape {intended.shape} "
-                        f"dtype {intended.dtype} for steps "
-                        f"[{start}, {start + k}) over {k_r} members; "
-                        f"expected bool ({k}, {k_r})"
-                    )
-                self._charge(k)
-                if use_coo:
-                    self._execute_restricted_chunk_coo(
-                        intended, ctx, section
-                    )
-                    stats["restricted_steps"] += k
-                    done += k
-                    continue
-                t0 = perf_counter()
-                slab = self._execute_restricted_chunk(intended, ctx)
-                timing["deliver"] += perf_counter() - t0
-                stats["restricted_steps"] += k
-                t0 = perf_counter()
-                self._consume_restricted_slab(
-                    slab, intended, ctx, section
-                )
-                timing["commit"] += perf_counter() - t0
-                done += k
-            base += section.width
-
-    def _execute_restricted_chunk(
-        self, intended: np.ndarray, ctx: ResidualContext
-    ) -> np.ndarray:
-        """Fault transform + kernels + deaf silencing + sender
-        translation + accounting for one compact chunk; returns the
-        compact hear slab with **global** sender ids."""
-        network = self.network
-        k = intended.shape[0]
-        hear = np.full((k, ctx.k), NO_SENDER, dtype=np.int64)
-        fault_state = network._fault_state
-        if fault_state is None:
-            effective = intended
-            receptions = ctx.kernels.execute(
-                intended, hear, self.delivery,
-                counters=network.kernel_use,
-            )
-        else:
-            effective, deaf = fault_state.transform_window(
-                intended, network.steps_elapsed, cols=ctx.members
-            )
-            receptions = ctx.kernels.execute(
-                effective, hear, self.delivery,
-                counters=network.kernel_use,
-            )
-            silenced = deaf & (hear != NO_SENDER)
-            n_silenced = int(np.count_nonzero(silenced))
-            if n_silenced:
-                hear[silenced] = NO_SENDER
-                receptions -= n_silenced
-                fault_state.note_silenced(n_silenced)
-        got = hear != NO_SENDER
-        if got.any():
-            hear[got] = ctx.members[hear[got]]
-        network._account_window(effective, receptions)
-        return hear
-
-    def _execute_restricted_chunk_coo(
-        self,
-        intended: np.ndarray,
-        ctx: ResidualContext,
-        section: PlanSection,
-    ) -> None:
-        """Fused (COO) twin of :meth:`_execute_restricted_chunk`.
-
-        Same compact chunk, but: the fault transform mutates the
-        intended masks in place, the residual kernels return the
-        receptions as a ``(step, local, sender_local)`` triple instead
-        of filling a compact hear slab, local ids translate to global
-        through ``ctx.members`` (the restricted closure guarantees
-        every hearer of a member transmission is itself a member, so
-        the compact triple covers *all* receptions — trace totals
-        match the full path), and the fold is the section's
-        ``consume_coo``. Deaf silencing is point-wise on the global
-        ``(step, node)`` pairs — identical drops, identical counters.
-        """
-        network = self.network
-        timing = network.phase_timing
-        fault_state = network._fault_state
-        k = intended.shape[0]
-        t0 = perf_counter()
-        if fault_state is not None:
-            fault_state.transform_window_inplace(
-                intended, network.steps_elapsed, cols=ctx.members
-            )
-        t1 = perf_counter()
-        timing["faults"] += t1 - t0
-        steps, local, senders_local = ctx.kernels.execute_coo(
-            intended, self.delivery, counters=network.kernel_use
-        )
-        nodes = ctx.members[local]
-        senders = ctx.members[senders_local]
-        receptions = int(steps.size)
-        if fault_state is not None and receptions:
-            deaf = fault_state.deaf_at(
-                steps + network.steps_elapsed, nodes
-            )
-            dropped = int(np.count_nonzero(deaf))
-            if dropped:
-                keep = ~deaf
-                steps = steps[keep]
-                nodes = nodes[keep]
-                senders = senders[keep]
-                receptions -= dropped
-                fault_state.note_silenced(dropped)
-        t2 = perf_counter()
-        timing["deliver"] += t2 - t1
-        network._account_window(intended, receptions)
-        section.consume_coo(k, steps, nodes, senders)
-        timing["commit"] += perf_counter() - t2
-
-    def _consume_restricted_slab(
-        self,
-        slab: np.ndarray,
-        intended: np.ndarray,
-        ctx: ResidualContext,
-        section: PlanSection,
-    ) -> None:
-        """Fold one restricted slab (hook for the validator)."""
-        section.consume_at(slab, ctx.members)
-
-    def _consume_stream_slab(
-        self,
-        slab: np.ndarray,
-        masks: np.ndarray,
-        consume: Any,
-    ) -> None:
-        """Fold one executed stream slab (hook for the validator)."""
-        consume(slab)
 
     def run(self, schedule: ProtocolSchedule) -> Any:
         """Execute ``schedule`` to completion and return its result.
@@ -701,7 +461,7 @@ class WindowedRunner:
                 reply = self._execute_window(segment.masks)
                 timing["deliver"] += perf_counter() - t0
             elif isinstance(segment, StreamedWindow):
-                if segment.consume is None and segment.sections is None:
+                if not _has_fold(segment):
                     raise ProtocolError(
                         "schedule yielded a StreamedWindow without a "
                         "consume callback; generator-form emitters must "
@@ -728,6 +488,15 @@ class WindowedRunner:
     ) -> Any:
         """Drive a plan/commit source to completion on this runner."""
         return self.run(segment_schedule(source, rng))
+
+
+def _has_fold(segment: StreamedWindow) -> bool:
+    """Whether a streamed window carries its own reception folds."""
+    return not (
+        segment.consume is None
+        and segment.consume_coo is None
+        and segment.sections is None
+    )
 
 
 def run_schedule(
@@ -776,7 +545,7 @@ def segment_schedule(
             yield segment
             source.commit(None)
         elif isinstance(segment, StreamedWindow):
-            if segment.consume is None and segment.sections is None:
+            if not _has_fold(segment):
                 segment = dataclasses.replace(
                     segment, consume=source.commit
                 )

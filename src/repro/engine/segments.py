@@ -99,6 +99,13 @@ class DecisionStep:
     mask: np.ndarray
 
 
+#: A chunk's reception fold: ``fold(k, steps, nodes, senders)`` receives
+#: the chunk height and its clean receptions as parallel int64 arrays —
+#: ``steps`` chunk-relative, ``nodes`` and ``senders`` **global** ids,
+#: arbitrary order.
+ReceptionFold = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+
+
 @dataclasses.dataclass
 class PlanSection:
     """One phase-labeled span of a fused :class:`StreamedWindow`.
@@ -109,13 +116,13 @@ class PlanSection:
     fault masking, and density routing run once per round. Sections
     keep the pieces' identities: ``width`` rows of the plan, an
     optional trace ``phase`` the runner enters when the section starts,
-    and the section's own fold callbacks.
+    and the section's own fold.
 
-    ``consume(hear_chunk)`` folds a full-width hear slab;
-    ``consume_at(hear_chunk, cols)`` is its column-restricted twin for
-    residual delivery (``cols`` are sorted global ids; senders in the
-    compact slab are already translated to global ids). A section whose
-    plan opts into restriction must provide both.
+    ``consume_coo`` (a :data:`ReceptionFold`) folds each chunk's
+    reception triple; a section without one gives ``consume(hear_chunk)``
+    instead, and the runner scatters the triple into a ``(k, n)`` hear
+    slab for it. Both see full-width, global-id receptions whether the
+    chunk ran full width or restricted.
 
     The runner never lets an executed chunk straddle a section
     boundary, so a section's callbacks see exactly the rows of its own
@@ -127,16 +134,7 @@ class PlanSection:
     width: int
     phase: str | None = None
     consume: Callable[[np.ndarray], None] | None = None
-    consume_at: Callable[[np.ndarray, np.ndarray], None] | None = None
-    #: Fused-pipeline fold: ``consume_coo(k, steps, nodes, senders)``
-    #: receives the chunk height and the chunk's clean receptions as
-    #: parallel int64 arrays — ``steps`` chunk-relative, ``nodes`` and
-    #: ``senders`` **global** ids, arbitrary order. Required (on every
-    #: section) for the plan's :class:`~repro.radio.network
-    #: .PipelineForm` to be taken.
-    consume_coo: (
-        Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
-    ) = None
+    consume_coo: ReceptionFold | None = None
 
 
 @dataclasses.dataclass
@@ -147,17 +145,17 @@ class StreamedWindow:
     materializing ``(w, n)`` masks and receiving a ``(w, n)``
     ``hear_from`` reply, the segment carries a lazy
     :class:`~repro.radio.network.TransmitPlan` and the runner executes
-    it through
-    :meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks`,
-    delivering each ``(w_chunk, n)`` hear slab to ``consume`` as it is
+    it chunk by chunk, folding each chunk's receptions as they are
     produced. The runner's reply to the segment is ``None`` — by the
     time the generator resumes, every chunk has already been folded.
 
-    ``consume`` is the per-chunk folding callback. Generator-form
-    emitters bind it to their own state (e.g. ``Decay._absorb_window``);
-    a plan/commit source in streaming form
+    ``consume_coo`` is the per-chunk reception-triple fold (see
+    :class:`PlanSection`); ``consume(hear_chunk)`` is the slab form,
+    fed a ``(w_chunk, n)`` hear slab. Generator-form emitters bind one
+    to their own state (e.g. ``Decay._absorb_coo``); a plan/commit
+    source in streaming form
     (:class:`~repro.engine.streaming.StreamingSegmentProtocol`) leaves
-    it ``None`` and the driving :func:`~repro.engine.runner
+    both ``None`` and the driving :func:`~repro.engine.runner
     .segment_schedule` routes chunks to the source's
     ``commit(hear_chunk)`` instead. Chunks arrive in step order, so an
     order-dependent fold (first-hear semantics) is exactly the fold of
@@ -173,18 +171,10 @@ class StreamedWindow:
 
     plan: TransmitPlan
     consume: Callable[[np.ndarray], None] | None = None
-    #: Column-restricted fold for residual delivery:
-    #: ``consume_at(hear_chunk, cols)`` receives the member columns of
-    #: the full hear slab (senders already global ids). Optional — a
-    #: window without it simply never restricts.
-    consume_at: Callable[[np.ndarray, np.ndarray], None] | None = None
-    #: Fused-pipeline fold (see :class:`PlanSection.consume_coo`).
-    consume_coo: (
-        Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
-    ) = None
+    consume_coo: ReceptionFold | None = None
     #: Fused multi-phase form: when set, a tuple of
     #: :class:`PlanSection` whose widths sum to ``plan.total_steps``;
-    #: the sections' callbacks replace ``consume``/``consume_at``.
+    #: the sections' callbacks replace ``consume``/``consume_coo``.
     sections: tuple[PlanSection, ...] | None = None
 
 
@@ -342,6 +332,7 @@ __all__ = [
     "ObliviousWindow",
     "PlanSection",
     "ProtocolSchedule",
+    "ReceptionFold",
     "ScheduleSegmentAdapter",
     "Segment",
     "SegmentProtocol",

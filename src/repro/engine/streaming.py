@@ -71,12 +71,12 @@ from .segments import (
 #: dense — see :meth:`repro.engine.kernels.DeliveryKernels._route`),
 #: so only a forced ``delivery="sparse"`` can
 #: still exceed the model on very dense graphs.
-#: The fused pipeline pass (:mod:`repro.engine.kernels`) stays *under*
-#: this model — it drops the int64 hear slab entirely (receptions come
-#: back as sparse COO triples) — but chunk heights are deliberately
-#: NOT raised for it: the model is a ceiling shared by every delivery
-#: path of the same plan, and the pipeline's savings are banked as
-#: headroom rather than spent on taller chunks.
+#: The runner's chunk loop stays *under* this model for COO folds —
+#: it drops the int64 hear slab entirely (receptions come back as
+#: sparse COO triples) — but chunk heights are deliberately NOT raised
+#: for it: the model is a ceiling shared by every fold of the same
+#: plan (slab-only folds still scatter into a hear slab), and the
+#: savings are banked as headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 
 #: Process-wide default memory budget in bytes (None = no budget).

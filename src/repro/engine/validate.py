@@ -10,7 +10,10 @@ assertion: it executes schedules normally on its primary network while
 network over the same graph, and re-executing it on two more shadows
 through the forced-sparse and forced-dense strategies — plus the raw
 sparse matrix product directly, since the public sparse strategy
-routes narrow windows to the gather kernel. Any disagreement — a
+routes narrow windows to the gather kernel. Streamed windows are
+checked chunk by chunk on the runner's production chunk loop — full
+width or residual, COO fold and point-wise deaf silencing included —
+against each chunk's intended (pre-fault) masks. Any disagreement — a
 single ``hear_from`` bit anywhere in the cross-comparison — raises
 :class:`ObliviousnessViolationError` naming the first divergent step.
 
@@ -155,14 +158,6 @@ class ValidatingRunner(WindowedRunner):
                     f"{other[step, node]}"
                 )
 
-    def _coo_fold_ok(self, sections) -> bool:
-        """Pin the slab paths: the validator's replay machinery
-        compares full and compact hear slabs, which the fused COO
-        pipeline never materializes. The pipeline is validated by its
-        own equivalence suite (tests/test_pipeline.py) against the
-        slab paths this runner certifies."""
-        return False
-
     def _execute_window(self, masks: np.ndarray) -> np.ndarray:
         batched = super()._execute_window(masks)
         self._compare(batched, masks)
@@ -170,44 +165,39 @@ class ValidatingRunner(WindowedRunner):
         self.steps_checked += masks.shape[0]
         return batched
 
-    def _consume_stream_slab(self, slab, masks, consume) -> None:
-        """Cross-check one executed stream slab before folding it.
+    def _chunk_fold(self, fold, masks, cols):
+        """Cross-check one streamed chunk before folding it.
 
-        Streamed windows run through the base runner's single streaming
-        loop (production plan-contract validation, charge ordering, and
-        accounting); this hook interposes the step-replay and
-        forced-strategy comparisons per slab, using the masks the loop
-        stashed (plans are one-shot — their lazy coin draws cannot be
-        replayed).
-        """
-        self._compare(slab, masks)
-        self.windows_checked += 1
-        self.steps_checked += slab.shape[0]
-        consume(slab)
-
-    def _consume_restricted_slab(self, slab, intended, ctx, section) -> None:
-        """Cross-check one restricted slab before folding it.
-
-        The compact slab is expanded back to full width — intended
+        Streamed windows run through the base runner's one chunk loop —
+        the production path, its in-place fault transform, COO
+        delivery and point-wise deaf silencing included; this hook
+        keeps a copy of the chunk's *intended* (pre-fault) masks and
+        wraps the fold so the chunk's receptions are scattered to a
+        full-width slab and compared against the step replay and both
+        forced strategies, which realize the faults on their own. A
+        residual chunk is expanded back to full width first (intended
         masks are False and receptions absent outside the member
-        columns by the residual support invariant — and compared
-        against the step replay and both forced full-width strategies.
-        This is the direct assertion that active-set restriction (and
-        its interplay with an installed fault schedule) realizes
-        exactly the unrestricted channel.
+        columns by the residual support invariant) — the direct
+        assertion that active-set restriction, and its interplay with
+        an installed fault schedule, realizes exactly the unrestricted
+        channel.
         """
         n = self.network.n
-        members = ctx.members
-        full_masks = np.zeros((intended.shape[0], n), dtype=bool)
-        full_masks[:, members] = intended
-        full_slab = np.full(
-            (slab.shape[0], n), NO_SENDER, dtype=np.int64
-        )
-        full_slab[:, members] = slab
-        self._compare(full_slab, full_masks)
-        self.windows_checked += 1
-        self.steps_checked += slab.shape[0]
-        section.consume_at(slab, members)
+        if cols is None:
+            intended = masks.copy()
+        else:
+            intended = np.zeros((masks.shape[0], n), dtype=bool)
+            intended[:, cols] = masks
+
+        def checked(k, steps, nodes, senders) -> None:
+            slab = np.full((k, n), NO_SENDER, dtype=np.int64)
+            slab[steps, nodes] = senders
+            self._compare(slab, intended)
+            self.windows_checked += 1
+            self.steps_checked += k
+            fold(k, steps, nodes, senders)
+
+        return checked
 
     def _execute_step(self, mask: np.ndarray) -> np.ndarray:
         hear_from = super()._execute_step(mask)

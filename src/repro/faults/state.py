@@ -4,7 +4,9 @@ A :class:`FaultState` is built once per network from a non-empty
 :class:`~repro.faults.schedule.FaultSchedule` and applied by the
 delivery layer (:meth:`RadioNetwork._deliver_core`,
 :meth:`RadioNetwork.deliver_window`,
-:meth:`RadioNetwork.deliver_window_chunks`) between plan and commit:
+:meth:`RadioNetwork.deliver_window_chunks`, and the runner's
+streamed-chunk loop through :meth:`FaultState.transform_window_inplace`
+and :meth:`FaultState.deaf_at`) between plan and commit:
 
 * :meth:`transform_window` turns a window of **intended** transmit
   masks into the **effective** masks the channel sees (dead, sleeping,
@@ -290,7 +292,7 @@ class FaultState:
     def transform_window_inplace(
         self, masks: np.ndarray, start: int, cols: np.ndarray | None = None
     ) -> None:
-        """Fused-transform twin of :meth:`transform_window` (ISSUE 9).
+        """In-place twin of :meth:`transform_window`.
 
         Turns the intended ``(w, k)`` masks into the effective masks
         **in place**, visiting only fault-affected columns — no alive
@@ -301,8 +303,8 @@ class FaultState:
         counters: each stage only ever *clears* bits, so summing the
         bits each stage clears equals ``masks.sum() - effective.sum()``
         of the out-of-place form. The deaf side has no window-shaped
-        output here — the pipeline path tests its (sparse) receptions
-        point-wise with :meth:`deaf_at` instead. Call once per executed
+        output here — the runner's chunk loop tests its (sparse)
+        receptions point-wise with :meth:`deaf_at` instead. Call once per executed
         chunk, in execution order, exactly like
         :meth:`transform_window`.
         """
@@ -383,7 +385,7 @@ class FaultState:
         sparse set of ``(global step, global node)`` reception pairs.
 
         Returns the bool drop mask (True = listener hears silence).
-        The pipeline path filters its COO receptions with this and
+        The runner's chunk loop filters its COO receptions with this and
         reports the drop count through :meth:`note_silenced`; the
         result matches indexing the window form —
         ``deaf_window(...)[steps - start, nodes]`` — entry for entry.

@@ -74,46 +74,13 @@ DELIVERY_MODES = ("auto", "sparse", "dense")
 
 
 @dataclasses.dataclass
-class PipelineForm:
-    """Separable threshold form of a plan's masks (fused pipeline).
-
-    Declares that the plan's mask math factors as
-    ``mask[t, v] = coins[t, v] < row_probs[t] * col_probs(base)[v]``
-    over each section (``base`` is the section's first plan row) —
-    which is exactly what lets one fused pass draw the coin and decide
-    the bit in the same loop, without the emitter's intermediate
-    arrays. The nonzero entries of ``col_probs(base)`` are the
-    section's **eligible** nodes: under rng contract v2 (DESIGN.md
-    §4.3) the coins of a ``k``-row chunk are one ``(k, L)`` block over
-    those ``L`` nodes, in ascending id, and every other node's bit is
-    False without a draw. The product must reproduce the emitter's
-    vectorized mask arithmetic **bit-for-bit**; the two emitter
-    families that opt in satisfy that exactly:
-
-    * Decay: ``coins < p_t`` on the active set ⟺ ``coins < p_t *
-      float(active)`` (the factor is 1.0 on every eligible column);
-    * EED: ``coins < p_v / 2^i`` ⟺ ``coins < p_v * 2^-i`` (a power-of-two
-      scale changes only the exponent, exact away from subnormals).
-
-    ``coins`` is the plan's own :class:`~repro.engine.pcg.CoinField` —
-    shared with ``masks``/``masks_at``, so whichever producer the
-    runner picks consumes the one rng stream identically.
-    ``col_probs`` is called once per section start and must return a
-    length-``n`` float64 vector.
-    """
-
-    coins: Any
-    row_probs: np.ndarray
-    col_probs: Callable[[int], np.ndarray]
-
-
-@dataclasses.dataclass
 class TransmitPlan:
     """A lazily produced window of oblivious transmit masks.
 
     ``masks(start, stop)`` returns the boolean ``(stop - start, n)``
     mask rows for window steps ``start .. stop - 1``. The streaming
-    executor (:meth:`RadioNetwork.deliver_window_chunks`) calls it for
+    executors (the :class:`~repro.engine.runner.WindowedRunner` chunk
+    loop, :meth:`RadioNetwork.deliver_window_chunks`) call it for
     consecutive, non-overlapping intervals covering ``[0, total_steps)``
     in order, exactly once each — so a producer may draw its coins
     lazily inside ``masks`` and still consume the rng stream in the
@@ -122,6 +89,12 @@ class TransmitPlan:
     chunk draws ``rng.random((stop - start, L))`` over the ``L`` nodes
     eligible to transmit (DESIGN.md §4.3). The chunk size is therefore
     a memory knob, never a semantics knob.
+
+    **The runner owns what** ``masks`` **and** ``masks_at`` **return.**
+    It applies the fault transform to each chunk in place, so a
+    producer must hand out a fresh array (or one it never reads
+    again), never a view of state it still holds —
+    :func:`as_transmit_plan` copies its slices for exactly this reason.
 
     Two optional fields opt a plan into **active-set-restricted
     delivery** (:mod:`repro.engine.residual`):
@@ -139,34 +112,40 @@ class TransmitPlan:
       commits to one of the two producers and never mixes them within
       an interval.
 
+    ``eligible(start)`` is an optional column hint for full-width
+    execution: the sorted global ids of every node that can transmit
+    in the section starting at plan row ``start`` (read once, at the
+    section start). When that set is far smaller than ``n`` — the
+    second Decay section of a Radio MIS round transmits from the
+    nodes that joined, a sliver of the plan's support — the delivery
+    kernels scan transmitters over a compact column gather.
+
     Plans without these fields (or runners with restriction off)
-    execute exactly as before — both are pure opt-in accelerators,
-    bit-identical by construction and pinned by the residual test
-    suite.
+    execute exactly as before — all three are pure opt-in
+    accelerators, bit-identical by construction.
     """
 
     total_steps: int
     masks: Callable[[int, int], np.ndarray]
     support: np.ndarray | None = None
     masks_at: Callable[[int, int, np.ndarray], np.ndarray] | None = None
-    #: Optional separable form for the fused pipeline pass: a
-    #: :class:`PipelineForm` proving the masks factor into per-row ×
-    #: per-column thresholds over the plan's coin field. Pure opt-in
-    #: accelerator like ``support``/``masks_at`` — plans without it
-    #: (or runs with the pipeline disabled) execute exactly as before.
-    pipeline: PipelineForm | None = None
+    eligible: Callable[[int], np.ndarray] | None = None
 
 
 def as_transmit_plan(plan: TransmitPlan | np.ndarray) -> TransmitPlan:
     """Coerce a materialized ``(w, n)`` mask matrix to a :class:`TransmitPlan`.
 
     A :class:`TransmitPlan` passes through unchanged; an array becomes a
-    plan that slices it (no copy).
+    plan that hands out **copies** of its row slices — the runner
+    transforms the masks it is given in place, and the caller still
+    holds the matrix.
     """
     if isinstance(plan, TransmitPlan):
         return plan
     masks = np.asarray(plan)
-    return TransmitPlan(masks.shape[0], lambda start, stop: masks[start:stop])
+    return TransmitPlan(
+        masks.shape[0], lambda start, stop: masks[start:stop].copy()
+    )
 
 
 class RadioNetwork:

@@ -386,6 +386,81 @@ class TestKnobResolution:
 
 
 # ---------------------------------------------------------------------------
+# Mask ownership: the chunk loop transforms masks in place.
+# ---------------------------------------------------------------------------
+class _HeldWindow(SegmentProtocol):
+    """Plans one oblivious window over a matrix it keeps holding."""
+
+    def __init__(self, masks: np.ndarray) -> None:
+        super().__init__(masks.shape[1])
+        self.masks = masks
+        self._planned = False
+
+    def plan(self, rng):
+        if self._planned:
+            return None
+        self._planned = True
+        return ObliviousWindow(self.masks)
+
+    def commit(self, reply):
+        pass
+
+    def steps_remaining(self):
+        return 0 if self._planned else self.masks.shape[0]
+
+    def result(self):
+        return None
+
+
+class TestMaskOwnership:
+    """A faulted streamed run never writes into a mask matrix its
+    caller still holds: the runner owns only what a plan hands out,
+    and :func:`as_transmit_plan` hands out copies."""
+
+    @staticmethod
+    def _faulted_net(n: int = 60) -> RadioNetwork:
+        from repro.faults import FaultSchedule
+
+        schedule = FaultSchedule(
+            crashes=tuple((v, 3) for v in range(0, n, 4)),
+            sleeps=((1, 0, 40),),
+            tx_prob=tuple((v, 0.3) for v in range(2, n, 4)),
+            seed=5,
+        )
+        return RadioNetwork(_graph(n), faults=schedule)
+
+    def test_streamed_materialized_plan_left_intact(self):
+        masks = np.random.default_rng(31).random((12, 60)) < 0.3
+        before = masks.tobytes()
+        net = self._faulted_net()
+        folded = []
+
+        def emit():
+            yield StreamedWindow(as_transmit_plan(masks), folded.append)
+
+        WindowedRunner(net, chunk_steps=5).run(emit())
+        assert net._fault_state.realized["suppressed_transmissions"] > 0
+        assert sum(f.shape[0] for f in folded) == 12
+        assert masks.tobytes() == before
+
+    def test_multiplexed_stream_leaves_source_masks_intact(self):
+        from repro.engine import multiplex
+
+        rng = np.random.default_rng(32)
+        main_masks = rng.random((8, 60)) < 0.3
+        bg_masks = rng.random((8, 60)) < 0.3
+        before = (main_masks.tobytes(), bg_masks.tobytes())
+        net = self._faulted_net()
+        schedule = multiplex(
+            _HeldWindow(main_masks), _HeldWindow(bg_masks),
+            rng=np.random.default_rng(0), stream=True,
+        )
+        WindowedRunner(net, chunk_steps=3).run(schedule)
+        assert net._fault_state.realized["suppressed_transmissions"] > 0
+        assert (main_masks.tobytes(), bg_masks.tobytes()) == before
+
+
+# ---------------------------------------------------------------------------
 # The streaming plan/commit form.
 # ---------------------------------------------------------------------------
 class _ChunkCountingSource(StreamingSegmentProtocol):

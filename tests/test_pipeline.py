@@ -1,8 +1,8 @@
-"""The fused coin+fault+delivery pipeline (ISSUE 9).
+"""The streamed-chunk loop: coin draw, faults and delivery per chunk.
 
-Three surfaces, every one pinned against an unfused twin:
+Three surfaces, every one pinned against an independent oracle:
 
-* the in-place fused fault transform
+* the in-place fault transform
   (:meth:`~repro.faults.state.FaultState.transform_window_inplace`)
   and the point-wise deafness test
   (:meth:`~repro.faults.state.FaultState.deaf_at`) against the
@@ -11,10 +11,10 @@ Three surfaces, every one pinned against an unfused twin:
   (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`) and
   their slab scatter against a brute-force dense reference on every
   routing regime;
-* end-to-end: pipeline runs (the ``delivery="auto"`` fused pass and
-  restricted COO folds) bit-identical to the unfused PR 7 paths for
-  Decay, EED, and full Radio MIS — across arbitrary ``chunk_steps``
-  splits, restriction modes, and fault schedules whose jam windows
+* end-to-end: runner executions of Decay, EED, and full Radio MIS
+  bit-identical to their step-wise ``*_reference`` twins — across
+  arbitrary ``chunk_steps`` splits, restriction modes, forced
+  ``sparse``/``dense`` delivery, and fault schedules whose jam windows
   straddle chunk and section boundaries — plus the refusal of unknown
   delivery modes (the retired ``"pipeline"``, ``"numba"`` and
   ``"cupy"`` modes among them) and the per-run reset of the provenance
@@ -23,19 +23,28 @@ Three surfaces, every one pinned against an unfused twin:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import networkx as nx
 import pytest
 
 import repro.api as api
 from repro.api import DecayConfig, EEDConfig
-from repro.core import MISConfig, compute_mis, run_decay
-from repro.core.effective_degree import estimate_effective_degree
+from repro.core import (
+    MISConfig,
+    compute_mis,
+    compute_mis_reference,
+    run_decay,
+    run_decay_reference,
+)
+from repro.core.effective_degree import (
+    estimate_effective_degree,
+    estimate_effective_degree_reference,
+)
 from repro.engine.kernels import (
     DENSE_ROW_DENSITY,
     DeliveryKernels,
-    pipeline_disabled,
-    pipeline_enabled,
     require_delivery_mode,
 )
 from repro.faults.schedule import FaultSchedule, Jam
@@ -262,97 +271,157 @@ class TestPipelineMode:
         with pytest.raises(ProtocolError, match=repr(mode)):
             api.ExecutionPolicy(delivery=mode)
 
-    def test_pipeline_disabled_toggle_nests(self):
-        assert pipeline_enabled()
-        with pipeline_disabled():
-            assert not pipeline_enabled()
-            with pipeline_disabled():
-                assert not pipeline_enabled()
-            assert not pipeline_enabled()
-        assert pipeline_enabled()
-
-    def test_auto_runs_the_fused_numpy_pass(self):
-        """Under ``"auto"`` the fused pass serves separable plans and
-        names itself in provenance; disabling it changes nothing but
-        the kernel rows."""
+    def test_auto_runs_the_one_chunk_loop(self):
+        """Under ``"auto"`` a Decay run equals its step-wise twin and
+        names only the COO kernels that ran in provenance; the retired
+        ``pipeline-numpy`` row never appears."""
         g = _udg(150, 21)
-        fused = api.run("decay", g, seed=3)
-        with pipeline_disabled():
-            unfused = api.run("decay", g, seed=3)
-        assert fused.result == unfused.result
-        assert fused.provenance["delivery"]["kernel_use"].get(
-            "pipeline-numpy", 0
-        ) > 0
-        assert "pipeline-numpy" not in (
-            unfused.provenance["delivery"]["kernel_use"]
+        report = api.run("decay", g, seed=3)
+        twin = api.run(
+            "decay", g, seed=3,
+            policy=api.ExecutionPolicy(engine="reference"),
+        )
+        assert report.result == twin.result
+        kernel_use = report.provenance["delivery"]["kernel_use"]
+        assert "pipeline-numpy" not in kernel_use
+        assert sum(kernel_use.values()) == report.steps
+        assert set(kernel_use) <= {
+            "coo-gather", "coo-spmm", "coo-dense", "coo-sparse-mixed",
+            "skip-empty",
+        }
+
+
+# ---------------------------------------------------------------------------
+# End-to-end: the chunk loop against the step-wise twins
+# ---------------------------------------------------------------------------
+
+
+_TRACE_TOTALS = ("total_steps", "total_transmissions", "total_receptions")
+
+
+def _assert_same_trace(net_a, net_b):
+    for attr in _TRACE_TOTALS:
+        assert getattr(net_a.trace, attr) == getattr(net_b.trace, attr)
+
+
+@functools.lru_cache(maxsize=None)
+def _mis_twin(n, graph_seed, seed, faults):
+    """The step-wise reference MIS run on ``_udg(n, graph_seed)`` with
+    ``faults`` installed: result, network, and a four-draw probe of the
+    rng state it left behind. Cached — the twin is independent of every
+    execution knob the tests vary."""
+    net = RadioNetwork(_udg(n, graph_seed), faults=faults)
+    rng = np.random.default_rng(seed)
+    result = compute_mis_reference(net, rng, MISConfig())
+    return result, net, rng.integers(0, 2**63, 4).tolist()
+
+
+def _assert_mis_matches_twin(n, graph_seed, seed, faults=None, **policy_kw):
+    """A runner MIS under ``policy_kw`` equals the step-wise twin:
+    result, steps, round history, rng stream, trace totals, and the
+    realized fault counters."""
+    ref, net_a, probe_a = _mis_twin(n, graph_seed, seed, faults)
+    net_b = RadioNetwork(_udg(n, graph_seed))
+    rng = np.random.default_rng(seed)
+    out = compute_mis(
+        net_b, rng, MISConfig(),
+        policy=api.ExecutionPolicy(faults=faults, **policy_kw),
+    )
+    assert out.mis == ref.mis
+    assert out.steps_used == ref.steps_used
+    assert out.history == ref.history
+    assert rng.integers(0, 2**63, 4).tolist() == probe_a
+    _assert_same_trace(net_a, net_b)
+    if faults is not None:
+        assert dict(net_a._fault_state.realized) == dict(
+            net_b._fault_state.realized
         )
 
 
-# ---------------------------------------------------------------------------
-# End-to-end equivalence: fused pipeline vs unfused paths
-# ---------------------------------------------------------------------------
-
-
-def _mis_run(g, seed, fused, **policy_kw):
-    net = RadioNetwork(g, trace=CheapTrace())
-    rng = np.random.default_rng(seed)
-    policy = api.ExecutionPolicy(**policy_kw)
-    if fused:
-        result = compute_mis(net, rng, MISConfig(), policy=policy)
-    else:
-        with pipeline_disabled():
-            result = compute_mis(net, rng, MISConfig(), policy=policy)
-    probe = rng.integers(0, 2**63, 4).tolist()
-    return result, net, probe
+#: A schedule whose jam windows and sleeps straddle chunk AND section
+#: boundaries: one Decay section of an n = 130 MIS round spans
+#: ceil(log2 130) * iters steps, and the windows below cross both the
+#: chunk splits and the mis/decay-marked -> mis/decay-mis boundary.
+_STRADDLING_FAULTS = FaultSchedule(
+    crashes=((5, 60),),
+    joins=((9, 35),),
+    sleeps=((11, 20, 160),),
+    jams=(
+        Jam(25, 95, (1, 2, 3, 11)),
+        Jam(140, 260, None),
+    ),
+    tx_prob=((7, 0.6),),
+    energy=((13, 8),),
+    seed=4,
+)
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("chunk_steps", [1, 3, 7, 64, 65])
     def test_decay_chunk_boundary_invariance(self, chunk_steps):
-        """The fused pass folds identically whatever the chunk split —
-        including heights of 1 and heights that straddle sweeps."""
+        """The chunk loop folds exactly like the step-wise twin
+        whatever the chunk split — including heights of 1 and heights
+        that straddle sweeps."""
         g = _udg(130, 31)
         net_a = RadioNetwork(g)
         net_b = RadioNetwork(g)
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
         active = np.arange(130) % 3 == 0
-        with pipeline_disabled():
-            ref = run_decay(
-                net_a, active, rng_a, iterations=4,
-                policy=api.ExecutionPolicy(chunk_steps=chunk_steps),
-            )
+        ref = run_decay_reference(net_a, active, rng_a, iterations=4)
         out = run_decay(
             net_b, active, rng_b, iterations=4,
             policy=api.ExecutionPolicy(chunk_steps=chunk_steps),
         )
         assert out == ref
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        _assert_same_trace(net_a, net_b)
+
+    @pytest.mark.parametrize("delivery", ["sparse", "dense"])
+    @pytest.mark.parametrize("restrict", ["force", "off"])
+    def test_decay_forced_delivery(self, delivery, restrict):
+        g = _udg(130, 33)
+        net_a = RadioNetwork(g)
+        net_b = RadioNetwork(g)
+        rng_a = np.random.default_rng(10)
+        rng_b = np.random.default_rng(10)
+        active = np.arange(130) % 4 == 1
+        ref = run_decay_reference(net_a, active, rng_a, iterations=3)
+        out = run_decay(
+            net_b, active, rng_b, iterations=3,
+            policy=api.ExecutionPolicy(
+                delivery=delivery, restrict=restrict, chunk_steps=5
+            ),
+        )
+        assert out == ref
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        _assert_same_trace(net_a, net_b)
+        # A forced mode really forces: every non-empty row ran on it.
+        ran = set(net_b.kernel_use) - {"skip-empty"}
+        if delivery == "dense":
+            assert ran == {"coo-dense"}
+        else:
+            assert ran and "coo-dense" not in ran
 
     @pytest.mark.parametrize("restrict", ["auto", "force", "off"])
     def test_eed_equivalence_across_restriction(self, restrict):
         g = _udg(140, 17)
         p = np.where(np.arange(140) % 2 == 0, 0.5, 0.125)
         active = np.arange(140) % 5 != 0
-        runs = []
-        for fused in (False, True):
-            net = RadioNetwork(g)
-            rng = np.random.default_rng(23)
-            policy = api.ExecutionPolicy(restrict=restrict, chunk_steps=6)
-            if fused:
-                res = estimate_effective_degree(
-                    net, p, active, rng, C=2, policy=policy
-                )
-            else:
-                with pipeline_disabled():
-                    res = estimate_effective_degree(
-                        net, p, active, rng, C=2, policy=policy
-                    )
-            runs.append((res, net, rng.bit_generator.state))
-        (ref, net_a, state_a), (out, net_b, state_b) = runs
+        net_a = RadioNetwork(g)
+        net_b = RadioNetwork(g)
+        rng_a = np.random.default_rng(23)
+        rng_b = np.random.default_rng(23)
+        ref = estimate_effective_degree_reference(
+            net_a, p, active, rng_a, C=2
+        )
+        out = estimate_effective_degree(
+            net_b, p, active, rng_b, C=2,
+            policy=api.ExecutionPolicy(restrict=restrict, chunk_steps=6),
+        )
         assert out == ref
-        assert state_a == state_b
-        assert net_a.trace.total_steps == net_b.trace.total_steps
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        _assert_same_trace(net_a, net_b)
 
     @pytest.mark.parametrize(
         "policy_kw",
@@ -361,64 +430,39 @@ class TestEndToEndEquivalence:
             {"chunk_steps": 7},
             {"restrict": "force"},
             {"restrict": "off", "chunk_steps": 5},
+            {"delivery": "sparse", "chunk_steps": 7},
+            {"delivery": "dense", "restrict": "force"},
+            {"delivery": "sparse", "restrict": "off"},
+            {"delivery": "dense", "chunk_steps": 3},
         ],
     )
     def test_mis_equivalence(self, policy_kw):
-        g = _udg(150, 41)
-        ref, net_a, probe_a = _mis_run(g, 11, fused=False, **policy_kw)
-        out, net_b, probe_b = _mis_run(g, 11, fused=True, **policy_kw)
-        assert out.mis == ref.mis
-        assert out.steps_used == ref.steps_used
-        assert out.history == ref.history
-        assert probe_a == probe_b
-        for attr in (
-            "total_steps", "total_transmissions", "total_receptions"
-        ):
-            assert getattr(net_a.trace, attr) == getattr(
-                net_b.trace, attr
-            )
+        _assert_mis_matches_twin(150, 41, 11, **policy_kw)
 
     @pytest.mark.parametrize("chunk_steps", [3, 11, None])
     def test_mis_with_faults_straddling_boundaries(self, chunk_steps):
         """Jam windows and sleeps that straddle chunk AND section
-        boundaries realize identically through the fused transform."""
-        g = _udg(130, 51)
-        # One Decay section spans ceil(log2 130)*iters steps; windows
-        # below are sized to cross both chunk splits and the
-        # mis/decay-marked -> mis/decay-mis section boundary.
-        faults = FaultSchedule(
-            crashes=((5, 60),),
-            joins=((9, 35),),
-            sleeps=((11, 20, 160),),
-            jams=(
-                Jam(25, 95, (1, 2, 3, 11)),
-                Jam(140, 260, None),
-            ),
-            tx_prob=((7, 0.6),),
-            energy=((13, 8),),
-            seed=4,
-        )
-        kw: dict = {"faults": faults}
+        boundaries realize exactly as in the step-wise twin through the
+        in-place transform and point-wise deaf silencing."""
+        kw: dict = {}
         if chunk_steps is not None:
             kw["chunk_steps"] = chunk_steps
-        ref, net_a, probe_a = _mis_run(g, 19, fused=False, **kw)
-        out, net_b, probe_b = _mis_run(g, 19, fused=True, **kw)
-        assert out.mis == ref.mis
-        assert probe_a == probe_b
-        assert dict(net_a._fault_state.realized) == dict(
-            net_b._fault_state.realized
+        _assert_mis_matches_twin(
+            130, 51, 19, faults=_STRADDLING_FAULTS, **kw
         )
-        for attr in (
-            "total_steps", "total_transmissions", "total_receptions"
-        ):
-            assert getattr(net_a.trace, attr) == getattr(
-                net_b.trace, attr
-            )
+
+    @pytest.mark.parametrize("delivery", ["sparse", "dense"])
+    @pytest.mark.parametrize("restrict", ["force", "off"])
+    def test_mis_faulted_forced_delivery(self, delivery, restrict):
+        _assert_mis_matches_twin(
+            130, 51, 19, faults=_STRADDLING_FAULTS,
+            delivery=delivery, restrict=restrict, chunk_steps=11,
+        )
 
     def test_validated_run_still_green(self):
-        """The validating runner pins the slab paths (it opts out of
-        the COO fold), so a validated run of a pipeline-carrying plan
-        still cross-checks every window."""
+        """The validating runner checks the production chunk loop — COO
+        fold included — and a validated run stays bit-identical to a
+        plain one."""
         g = _udg(90, 61)
         report = api.run(
             "mis", g, seed=2,

@@ -49,7 +49,7 @@ from repro.engine.residual import (
     ResidualContext,
     validate_restrict,
 )
-from repro.engine.runner import run_schedule
+from repro.engine.runner import WindowedRunner, run_schedule
 from repro.engine.segments import PlanSection, StreamedWindow
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
@@ -451,6 +451,24 @@ class TestPlanContracts:
         with pytest.raises(ProtocolError, match="sections cover 3"):
             run_schedule(net, schedule())
 
+    def test_section_without_fold_refused(self):
+        net = RadioNetwork(nx.path_graph(6))
+
+        def schedule():
+            plan = TransmitPlan(
+                4, lambda s, e: np.zeros((e - s, 6), dtype=bool)
+            )
+            yield StreamedWindow(
+                plan,
+                sections=(
+                    PlanSection(2, consume=lambda slab: None),
+                    PlanSection(2),
+                ),
+            )
+
+        with pytest.raises(ProtocolError, match="neither a consume"):
+            run_schedule(net, schedule())
+
     def test_masks_at_shape_refused(self):
         n = 6
         net = RadioNetwork(nx.path_graph(n))
@@ -468,12 +486,43 @@ class TestPlanContracts:
             )
             yield StreamedWindow(
                 plan,
-                consume=lambda slab: None,
-                consume_at=lambda slab, cols: None,
+                consume_coo=lambda k, steps, nodes, senders: None,
             )
 
         with pytest.raises(ProtocolError, match="masks_at produced"):
             run_schedule(net, schedule(), restrict="force")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda s, e: np.zeros((e - s, 5), dtype=bool),
+            lambda s, e: np.zeros((e - s + 1, 6), dtype=bool),
+            lambda s, e: np.zeros((e - s, 6), dtype=np.int64),
+        ],
+        ids=["columns", "rows", "dtype"],
+    )
+    def test_masks_shape_refused_full_width(self, bad):
+        """Full-width chunks go through the same plan-contract check as
+        residual ones: one ProtocolError naming the producer, the step
+        range and the expected shape — raised before the chunk is
+        charged or executed."""
+        net = RadioNetwork(nx.path_graph(6))
+
+        def schedule():
+            yield StreamedWindow(
+                TransmitPlan(4, bad),
+                consume_coo=lambda k, steps, nodes, senders: None,
+            )
+
+        runner = WindowedRunner(net, chunk_steps=3)
+        with pytest.raises(
+            ProtocolError,
+            match=r"TransmitPlan\.masks produced .* for steps \[0, 3\);"
+            r" expected bool \(3, 6\)",
+        ):
+            runner.run(schedule())
+        assert runner.steps_executed == 0
+        assert net.steps_elapsed == 0
 
     def test_window_without_consume_surface_refused(self):
         net = RadioNetwork(nx.path_graph(4))

@@ -402,6 +402,41 @@ class TestValidatingRunnerDetectsViolations:
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
             runner.run(emit())
 
+    @pytest.mark.parametrize("restrict", ["off", "force"])
+    @pytest.mark.parametrize("protocol", ["decay", "mis"])
+    def test_catches_broken_deaf_silencing_on_streamed_chunks(
+        self, monkeypatch, protocol, restrict
+    ):
+        # The validator checks the production chunk loop, COO fold and
+        # point-wise deaf silencing included: a FaultState.deaf_at that
+        # silences nothing lets receptions through a network-wide jam
+        # that the step replay (which realizes deafness through its own
+        # window transforms) drops — so a validated run must diverge.
+        from repro.faults import Jam
+        from repro.faults.state import FaultState
+
+        g = graphs.random_udg(80, 4.0, np.random.default_rng(5))
+        schedule = FaultSchedule(jams=(Jam(0, 10**6, None),), seed=3)
+
+        def deaf_to_nothing(self, steps, nodes):
+            return np.zeros(np.shape(steps), dtype=bool)
+
+        monkeypatch.setattr(FaultState, "deaf_at", deaf_to_nothing)
+        runner = ValidatingRunner(
+            RadioNetwork(g, faults=schedule), restrict=restrict
+        )
+        rng = np.random.default_rng(9)
+        if protocol == "decay":
+            emitter = decay_block_schedule(
+                runner.network, np.ones(80, dtype=bool), rng, iterations=2
+            )
+        else:
+            emitter = mis_schedule(
+                runner.network, rng, MISConfig(eed_C=2, record_golden=False)
+            )
+        with pytest.raises(ObliviousnessViolationError, match="diverged"):
+            runner.run(emitter)
+
     def test_checks_decision_steps_too(self):
         g = graphs.path(8)
         runner = _validated(g)
